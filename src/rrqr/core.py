@@ -70,18 +70,26 @@ def trail_to_permutation(trail, n: int) -> np.ndarray:
 
 def permutation_to_trail(perm) -> np.ndarray:
     """Unique ascending swap trail that reproduces `perm` from identity."""
+    return _prefix_trail(perm, len(perm))[0]
+
+
+def _prefix_trail(perm, n: int):
+    """Trail of the first k entries `perm` of a permutation of n columns.
+
+    Returns (trail, order): the k-entry trail, and the permutation of all
+    n columns that it reproduces, ``trail_to_permutation(trail, n)``.
+    """
     perm = np.asarray(perm, dtype=np.int64)
-    n = len(perm)
     cur = np.arange(n, dtype=np.int64)
     pos = np.arange(n, dtype=np.int64)  # pos[col] = current index of col
-    trail = np.empty(n, dtype=np.int64)
-    for i in range(n):
+    trail = np.empty(len(perm), dtype=np.int64)
+    for i in range(len(perm)):
         j = int(pos[perm[i]])
         trail[i] = j
         ci, cj = cur[i], cur[j]
         cur[i], cur[j] = cj, ci
         pos[ci], pos[cj] = j, i
-    return trail
+    return trail, cur
 
 
 # ---------------------------------------------------------------------------

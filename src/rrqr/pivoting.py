@@ -1,17 +1,20 @@
-"""Column-pivoted QR: weight downdating, MGSP, and the Householder variants.
+"""Column-pivoted QR: weight downdating, sketch pivoting, and the Householder variants.
 
 Pivoting always moves the remaining column of largest 2-norm to the front,
 with ties broken toward the smallest index so that every variant makes the
 same deterministic choice.  Squared column norms (weights) are maintained
 across steps by subtracting the squares of the freshly computed R row,
 ``nu_j -> nu_j - r_j^2``, instead of being recomputed; a drift safeguard
-recomputes a weight exactly once it has decayed below 1e-8 of its original
-value, where cancellation would otherwise corrupt the pivot order.
+recomputes a weight exactly once it has decayed below 1e-8 of its reference
+value, where cancellation would otherwise corrupt the pivot order, and then
+makes the recomputed weight the new reference, as LAPACK's xLAQP2 does.
 
 Three factorization drivers live here:
 
-* ``mgsp``       -- modified Gram-Schmidt with pivoting (also the engine
-                    behind randomized block-pivot selection),
+* ``mgsp``       -- pivoted QR of a small matrix by LAPACK dgeqp3, in thin
+                    (Q, R, trail) form and truncated at numerical rank;
+                    randomized block-pivot selection runs it on the sketch,
+                    as the paper runs classical pivoted QR there,
 * ``hqrp_unb``   -- Householder QR with pivoting, full trailing updates
                     (variant 1),
 * ``hqrp_blk``   -- the blocked form, whose panels run the delayed-update
@@ -22,13 +25,18 @@ Three factorization drivers live here:
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import lapack
 
-from .core import EPS, FlopCounter, matmul
+from .core import EPS, FlopCounter, _prefix_trail, matmul
 from .householder import QRFactors, housev
 
 
 class WeightVector:
-    """Squared column norms with downdating and a recompute safeguard."""
+    """Squared column norms with downdating and a recompute safeguard.
+
+    `v_orig` holds each weight's reference value: its initial value, or
+    the value it was last recomputed to.
+    """
 
     RECOMPUTE_FRACTION = 1e-8
 
@@ -48,15 +56,17 @@ class WeightVector:
 
         `recompute(j)` must return the exact current squared norm of
         column `j` (absolute index); it is called for every column whose
-        downdated weight fell below RECOMPUTE_FRACTION of its original.
+        downdated weight fell below RECOMPUTE_FRACTION of its reference,
+        and the result becomes both the weight and its new reference.
         """
         tail = self.v[start:]
         np.subtract(tail, np.square(r_row), out=tail)
         np.maximum(tail, 0.0, out=tail)
         if recompute is not None:
-            drifted = np.nonzero(tail < self.RECOMPUTE_FRACTION * self.v_orig[start:])[0]
+            ref = self.v_orig[start:]
+            drifted = np.nonzero(tail < self.RECOMPUTE_FRACTION * ref)[0]
             for j in drifted:
-                tail[j] = recompute(start + int(j))
+                tail[j] = ref[j] = recompute(start + int(j))
 
 
 def compute_weights(a: np.ndarray) -> WeightVector:
@@ -77,51 +87,43 @@ def determine_pivot(v, offset: int) -> int:
 
 
 def mgsp(a: np.ndarray, max_steps: int | None = None, step_hook=None):
-    """Modified Gram-Schmidt with column pivoting.
+    """Column-pivoted QR of `a` by LAPACK dgeqp3, in thin Gram-Schmidt form.
 
     Returns (Q, R, trail) with A P = Q R, Q orthonormal and the R diagonal
-    nonnegative and non-increasing.  Stops early once the largest remaining
-    weight falls below m * eps * max(original weights), returning the
-    rank-deficient truncation.  `a` itself is left untouched.
+    nonnegative and non-increasing.  Takes at most `max_steps` pivots and
+    stops before the first k with r_kk^2 <= m * eps * max_j ||a_j||^2,
+    returning the rank-deficient truncation; R's columns follow the order
+    of that truncated trail.  `a` itself is left untouched.  `step_hook`
+    must be None: LAPACK exposes no state between steps.
     """
+    if step_hook is not None:
+        raise ValueError("mgsp runs in LAPACK and cannot call a step hook")
     m, n = a.shape
-    rmax = min(m, n)
-    if max_steps is not None:
-        rmax = min(rmax, max_steps)
-    work = np.array(a, dtype=np.float64, order="F")
-    weights = compute_weights(work)
-    stop_level = m * EPS * float(np.max(weights.v_orig, initial=0.0))
-    r_mat = np.zeros((rmax, n), order="F")
-    trail = []
-    for k in range(rmax):
-        piv = determine_pivot(weights, k)
-        if weights.v[piv] <= stop_level:
-            break
-        if piv != k:
-            work[:, [k, piv]] = work[:, [piv, k]]
-            r_mat[:k, [k, piv]] = r_mat[:k, [piv, k]]
-            weights.swap(k, piv)
-        col = work[:, k]
-        rho = float(np.linalg.norm(col))
-        if rho == 0.0:
-            if piv != k:  # undo, so the truncated result matches the trail
-                work[:, [k, piv]] = work[:, [piv, k]]
-                r_mat[:k, [k, piv]] = r_mat[:k, [piv, k]]
-                weights.swap(k, piv)
-            break
-        trail.append(piv)
-        col /= rho
-        r_row = col @ work[:, k + 1 :]
-        work[:, k + 1 :] -= np.outer(col, r_row)
-        r_mat[k, k] = rho
-        r_mat[k, k + 1 :] = r_row
-        weights.downdate(
-            k + 1, r_row, lambda j: float(work[:, j] @ work[:, j])
-        )
-        if step_hook is not None:
-            step_hook(k, work, weights)
-    rank = len(trail)
-    return work[:, :rank], r_mat[:rank, :], np.array(trail, dtype=np.int64)
+    rmax = min(m, n) if max_steps is None else min(m, n, max_steps)
+    if rmax <= 0:
+        return np.zeros((m, 0)), np.zeros((0, n)), np.empty(0, dtype=np.int64)
+    qr, jpvt, tau, _, info = lapack.dgeqp3(a)
+    if info != 0:
+        raise RuntimeError(f"dgeqp3 failed with info={info}")
+    # |r_00| is the largest column norm; compared unsquared so that no
+    # scale of `a` overflows or underflows the test
+    diag = np.abs(np.diagonal(qr)[:rmax])
+    small = np.nonzero(diag <= np.sqrt(m * EPS) * diag[0])[0]
+    rank = int(small[0]) if len(small) else rmax
+    jpvt -= 1
+    trail, order = _prefix_trail(jpvt[:rank], n)
+    # dgeqp3 orders R's columns by its full pivot sequence, which goes on
+    # past the truncation; reorder them to the truncated trail's order
+    where = np.argsort(jpvt)  # where[col] = its position in dgeqp3's order
+    r = qr[:rank, where[order]]
+    r[np.tril_indices(rank, -1)] = 0.0
+    q, _, info = lapack.dorgqr(qr[:, :rank], tau[:rank], overwrite_a=1)
+    if info != 0:
+        raise RuntimeError(f"dorgqr failed with info={info}")
+    signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    r *= signs[:, None]
+    q *= signs
+    return q, r, trail
 
 
 def _var1_engine(

@@ -1,9 +1,10 @@
 """Randomized blocked column-pivoted QR with sample-matrix downdating.
 
 Pivot blocks are chosen on a small sketch Y = G A, where G is Gaussian
-with b + p rows (p is the oversampling margin, default 5): b steps of
-pivoted Gram-Schmidt on Y pick the columns, the panel is then factored
-with locally pivoted Householder QR, and the trailing matrix gets one
+with b + p rows (p is the oversampling margin, default 5): the first b
+pivots of classical column-pivoted QR of Y (LAPACK dgeqp3, through
+``pivoting.mgsp``) pick the columns, the panel is then factored with
+locally pivoted Householder QR, and the trailing matrix gets one
 accumulated-reflector update per panel.
 
 Two ways to refresh the sketch between panels:
@@ -70,8 +71,9 @@ def build_sketch(
 def select_block_pivots(y: np.ndarray, b: int) -> np.ndarray:
     """Swap trail of the first `b` pivots of a working copy of `y`.
 
-    Runs b steps of pivoted Gram-Schmidt; `y` is not modified.  If the
-    sketch runs out of mass early the trail is padded with identity swaps.
+    Takes the first b pivots of LAPACK's pivoted QR (dgeqp3) of `y`; `y`
+    is not modified.  If the sketch runs out of mass early the trail is
+    padded with identity swaps.
     """
     if b > y.shape[1]:
         raise ValueError(f"cannot pick {b} pivots from {y.shape[1]} columns")
@@ -146,7 +148,8 @@ def hqrrp_blk(
     m, n = a.shape
     r = min(m, n)
     perm = np.arange(n, dtype=np.int64)
-    sk = build_sketch(rng, a, b, p, fc) if mode == "downdate" else None
+    # like basic mode, draw no G when there is no column to factor
+    sk = build_sketch(rng, a, b, p, fc) if mode == "downdate" and r > 0 else None
     starts, blocks, taus_parts = [], [], []
     j = 0
     while j < r:

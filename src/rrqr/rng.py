@@ -11,9 +11,12 @@ Stream layout, per call:
 * ``raw(n)`` consumes ``n`` generator steps.
 * ``uniforms(n)`` maps each 64-bit word to ``((w >> 11) + 1) * 2**-53``,
   a value in ``(0, 1]``.
-* ``normals(n)`` consumes ``2 * ceil(n / 2)`` words; pair ``(u1, u2)``
-  yields ``r*cos(2*pi*u2), r*sin(2*pi*u2)`` with ``r = sqrt(-2*ln(u1))``,
-  interleaved in that order.
+* ``normals(n)`` consumes ``2 * ceil(n / 2)`` words as two uniform
+  blocks, not as consecutive pairs: with ``h = ceil(n / 2)``, ``u1[i]``
+  comes from word ``i`` and ``u2[i]`` from word ``h + i`` of the call.
+  Pair ``i`` yields ``r*cos(2*pi*u2[i]), r*sin(2*pi*u2[i])`` with
+  ``r = sqrt(-2*ln(u1[i]))``, interleaved in that order as outputs
+  ``2i`` and ``2i + 1``; for odd ``n`` the last sine is dropped.
 
 The inner loop is jitted with numba when available; the pure-Python
 fallback produces the identical stream.

@@ -10,7 +10,7 @@ from rrqr import (
     permutation_to_trail,
     trail_to_permutation,
 )
-from rrqr.core import matmul, solve_upper
+from rrqr.core import _prefix_trail, matmul, solve_upper
 
 from conftest import gauss
 
@@ -79,6 +79,10 @@ def test_permutation_trail_roundtrip(perm):
     trail = permutation_to_trail(perm)
     assert np.all(trail >= np.arange(8))
     assert np.array_equal(trail_to_permutation(trail, 8), perm)
+    for k in range(9):  # a prefix of the permutation gives a prefix of the trail
+        prefix, order = _prefix_trail(perm[:k], 8)
+        assert np.array_equal(prefix, trail[:k])
+        assert np.array_equal(order, trail_to_permutation(prefix, 8))
 
 
 def test_flop_counter_matmul():

@@ -18,6 +18,7 @@ from rrqr import (
     mgsp,
     orthogonality_error,
     reconstruction_error,
+    select_block_pivots,
     trail_to_permutation,
 )
 from rrqr.pivoting import _var1_engine
@@ -80,6 +81,21 @@ def test_downdate_safeguard_recomputes_drifted_weights():
     assert w.v[1] == 7e-9
 
 
+def test_recomputed_weight_becomes_its_reference():
+    w = WeightVector([1.0, 1.0])
+    calls = []
+
+    def recompute(j):
+        calls.append(j)
+        return 7e-9
+
+    w.downdate(0, np.array([0.0, np.sqrt(1.0 - 5e-9)]), recompute)
+    assert w.v_orig[1] == 7e-9
+    # 7e-9 - 1e-12 is far above 1e-8 of the new reference: no recompute
+    w.downdate(0, np.array([0.0, 1e-6]), recompute)
+    assert calls == [1]
+
+
 def test_determine_pivot_picks_largest():
     assert determine_pivot(WeightVector([1.0, 9.0, 4.0]), 0) == 1
 
@@ -139,6 +155,78 @@ def test_mgsp_zero_matrix():
     q, r, trail = mgsp(np.zeros((4, 3)))
     assert len(trail) == 0
     assert q.shape == (4, 0)
+
+
+def _mgsp_oracle(a, max_steps=None):
+    """Modified Gram-Schmidt with column pivoting, one column per step.
+
+    The reference for `mgsp`: pivots on downdated weights with the drift
+    safeguard and stops once the largest remaining weight falls below
+    m * eps * max(original weights).  Returns (Q, R, trail).
+    """
+    m, n = a.shape
+    rmax = min(m, n) if max_steps is None else min(m, n, max_steps)
+    work = np.array(a, dtype=np.float64, order="F")
+    weights = compute_weights(work)
+    stop_level = m * EPS * float(np.max(weights.v_orig, initial=0.0))
+    r_mat = np.zeros((rmax, n), order="F")
+    trail = []
+    for k in range(rmax):
+        piv = determine_pivot(weights, k)
+        if weights.v[piv] <= stop_level:
+            break
+        if piv != k:
+            work[:, [k, piv]] = work[:, [piv, k]]
+            r_mat[:k, [k, piv]] = r_mat[:k, [piv, k]]
+            weights.swap(k, piv)
+        col = work[:, k]
+        rho = float(np.linalg.norm(col))
+        if rho == 0.0:
+            if piv != k:  # undo, so the truncated result matches the trail
+                work[:, [k, piv]] = work[:, [piv, k]]
+                r_mat[:k, [k, piv]] = r_mat[:k, [piv, k]]
+                weights.swap(k, piv)
+            break
+        trail.append(piv)
+        col /= rho
+        r_row = col @ work[:, k + 1 :]
+        work[:, k + 1 :] -= np.outer(col, r_row)
+        r_mat[k, k] = rho
+        r_mat[k, k + 1 :] = r_row
+        weights.downdate(k + 1, r_row, lambda j: float(work[:, j] @ work[:, j]))
+    rank = len(trail)
+    return work[:, :rank], r_mat[:rank, :], np.array(trail, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_sketch_pivots_match_gram_schmidt_oracle(n):
+    b, p = 64, 5
+    for seed in range(3):
+        y = gauss(700 + 10 * seed + n, b + p, n)
+        q, r, trail = mgsp(y, max_steps=b)
+        q_ref, r_ref, trail_ref = _mgsp_oracle(y, max_steps=b)
+        assert np.array_equal(trail, trail_ref), (n, seed)
+        assert np.array_equal(select_block_pivots(y, b), trail_ref), (n, seed)
+        scale = frobenius_norm(y)
+        assert frobenius_norm(r - r_ref) <= 1e-12 * scale
+        assert frobenius_norm(q - q_ref) <= 1e-12
+
+
+def test_sketch_pivots_of_rank_three_product_stop_at_rank_three():
+    b, p, n = 64, 5, 200
+    y = gauss(11, b + p, 3) @ gauss(12, 3, n)
+    _, _, trail = mgsp(y, max_steps=b)
+    _, _, trail_ref = _mgsp_oracle(y, max_steps=b)
+    assert len(trail) == len(trail_ref) == 3
+    assert np.array_equal(trail, trail_ref)
+    padded = select_block_pivots(y, b)
+    assert np.array_equal(padded[:3], trail_ref)
+    assert np.array_equal(padded[3:], np.arange(3, b))
+
+
+def test_mgsp_rejects_step_hook():
+    with pytest.raises(ValueError):
+        mgsp(gauss(13, 5, 4), step_hook=lambda k, work, weights: None)
 
 
 def test_var1_diagonal_pivot_order():

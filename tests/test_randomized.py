@@ -236,3 +236,15 @@ def test_invalid_parameters():
         hqrrp_blk(a, 4, Xoshiro256pp(0), mode="bogus")
     with pytest.raises(ValueError):
         hqrrp_blk(a, 0, Xoshiro256pp(0))
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_empty_input_same_in_both_modes(shape):
+    seen = {}
+    for mode in ("basic", "downdate"):
+        rng = Xoshiro256pp(3)
+        f = hqrrp_blk(np.zeros(shape, order="F"), 4, rng, mode=mode)
+        assert f.packed.shape == shape
+        assert f.trail.tolist() == list(range(shape[1]))
+        seen[mode] = rng.raw(1)[0]  # neither mode draws from the generator
+    assert seen["basic"] == seen["downdate"]
