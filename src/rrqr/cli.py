@@ -27,6 +27,7 @@ import sys
 import time
 
 import numpy as np
+from scipy.linalg import svdvals
 
 from .core import FlopCounter
 from .householder import hqr_blk, hqr_unb, form_q
@@ -35,17 +36,10 @@ from .pivoting import hqrp_blk
 from .quality import eckart_young_bounds, reconstruction_error, truncation_errors
 from .randomized import hqrrp_blk
 from .rng import Xoshiro256pp, gaussian_matrix
-from .testmats import (
-    gen_bie_single_layer,
-    gen_fast_decay,
-    gen_kahan,
-    gen_s_shape,
-    jacobi_svd_values,
-)
+from .testmats import gen_bie_single_layer, gen_fast_decay, gen_kahan, gen_s_shape
 
 ALGOS = ("hqr", "hqr-blk", "hqrp", "hqrrp-basic", "hqrrp")
 KINDS = ("fast-decay", "s-shape", "bie", "kahan", "gaussian")
-JACOBI_LIMIT = 1024
 
 
 def _make_matrix(args):
@@ -112,26 +106,13 @@ def cmd_factor(args) -> int:
     return 0
 
 
-def _quality_sigmas(args, a, sigmas):
-    if sigmas is not None:
-        return sigmas
-    if min(a.shape) <= JACOBI_LIMIT:
-        return jacobi_svd_values(a)
-    print(
-        f"warning: no singular values for n={min(a.shape)} > oracle limit; "
-        "bound columns left empty",
-        file=sys.stderr,
-    )
-    return None
-
-
 def cmd_quality(args) -> int:
     if args.input:
         a, sigmas = read_matrix(args.input), None
     else:
         a, sigmas = _make_matrix(args)
-    if args.spectral:
-        sigmas = _quality_sigmas(args, a, sigmas)
+    if args.spectral and sigmas is None:
+        sigmas = svdvals(a, check_finite=False)
     r = min(a.shape)
     ks = list(range(0, r + 1, args.b))
     bounds = eckart_young_bounds(sigmas, ks) if sigmas is not None else (None, None)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import FlopCounter, matmul, solve_upper, trail_to_permutation
+from .core import FlopCounter, check_finite, matmul, solve_upper, trail_to_permutation
 
 
 class Reflector(NamedTuple):
@@ -135,6 +135,7 @@ def hqr_unb_formT(panel: np.ndarray, t: np.ndarray | None = None):
 
 def hqr_unb(a: np.ndarray, fc: FlopCounter | None = None) -> QRFactors:
     """Plain unblocked HQR of any shape; runs min(m, n) steps in place."""
+    check_finite(a, "input matrix")
     r = min(a.shape)
     t = np.zeros((r, r))
     taus = _hqr_core(a, t, r)
@@ -164,6 +165,7 @@ def apply_block_qt(
 
 def hqr_blk(a: np.ndarray, b: int, fc: FlopCounter | None = None) -> QRFactors:
     """Blocked HQR via the accumulated-reflector trailing update."""
+    check_finite(a, "input matrix")
     if b < 1:
         raise ValueError("block size must be >= 1")
     m, n = a.shape

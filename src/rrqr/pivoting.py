@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import lapack
 
-from .core import EPS, FlopCounter, _prefix_trail, matmul
+from .core import EPS, FlopCounter, _prefix_trail, check_finite, matmul
 from .householder import QRFactors, housev
 
 
@@ -188,6 +188,7 @@ def hqrp_unb(
     step_hook=None,
 ) -> QRFactors:
     """Classical column-pivoted Householder QR, full trailing updates."""
+    check_finite(a, "input matrix")
     m, n = a.shape
     r = min(m, n) if steps is None else min(steps, m, n)
     t = np.zeros((r, r))
@@ -281,6 +282,7 @@ def hqrp_blk(a: np.ndarray, b: int, fc: FlopCounter | None = None) -> QRFactors:
     pivot trail under the shared smallest-index tie-break; only the
     rank-b trailing updates run as matrix-matrix multiplies.
     """
+    check_finite(a, "input matrix")
     if b < 1:
         raise ValueError("block size must be >= 1")
     m, n = a.shape

@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import svdvals
 
 from .core import frobenius_norm, trail_to_permutation
 from .householder import QRFactors, form_q
 from .rng import Xoshiro256pp
-from .testmats import jacobi_svd_values
 
 
 @dataclass
@@ -70,7 +70,7 @@ def spectral_norm_est(
             if nrm > 0:
                 x[:, c] /= nrm
         bx = b_mat @ x
-        new_est = float(jacobi_svd_values(bx)[0])
+        new_est = float(svdvals(bx, check_finite=False)[0])
         x = b_mat.T @ bx
         if est > 0 and abs(new_est - est) <= tol * new_est:
             est = new_est
@@ -79,22 +79,16 @@ def spectral_norm_est(
     return est
 
 
-_ORACLE_LIMIT = 1024
-
-
-def _spectral_norm(b_mat: np.ndarray, seed: int) -> float:
-    """Spectral norm for error reporting.
+def _spectral_norm(b_mat: np.ndarray) -> float:
+    """Spectral norm for error reporting: the top singular value from LAPACK.
 
     Iterative estimators stall a few 1e-5 short of the true value when
     the top of the spectrum is clustered tighter than they can resolve,
-    which is enough to dip under the singular-value floors; at oracle
-    scale the Jacobi sweep gives the exact value instead.
+    which is enough to dip under the singular-value floors.
     """
     if min(b_mat.shape) == 0:
         return 0.0
-    if min(b_mat.shape) <= _ORACLE_LIMIT:
-        return float(jacobi_svd_values(b_mat)[0])
-    return spectral_norm_est(b_mat, seed=seed)
+    return float(svdvals(b_mat, check_finite=False)[0])
 
 
 def eckart_young_bounds(sigmas: np.ndarray, ks) -> tuple[np.ndarray, np.ndarray]:
@@ -119,8 +113,8 @@ def truncation_errors(
     """Per-k truncation errors of a packed factorization of `a_orig`.
 
     e_frob comes straight from the trailing blocks of R; e_spec (optional)
-    from block power iteration on them.  `sigmas`, when given, supplies
-    the per-k Eckart-Young floors.
+    is the largest singular value of each block, from LAPACK (`svdvals`).
+    `sigmas`, when given, supplies the per-k Eckart-Young floors.
     """
     ks = np.asarray(ks, dtype=np.int64)
     r_full = f.r_matrix()
@@ -129,7 +123,7 @@ def truncation_errors(
         raise ValueError(f"truncation ranks must lie in [0, {r}]")
     e_frob = np.array([frobenius_norm(r_full[k:, k:]) for k in ks])
     e_spec = (
-        np.array([_spectral_norm(r_full[k:, k:], seed) for k in ks])
+        np.array([_spectral_norm(r_full[k:, k:]) for k in ks])
         if with_spectral
         else None
     )

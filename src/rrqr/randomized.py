@@ -31,7 +31,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import FlopCounter, matmul, permutation_to_trail, solve_upper
+from .core import FlopCounter, check_finite, matmul, permutation_to_trail, solve_upper
 from .householder import QRFactors, _unit_lower, apply_block_qt
 from .pivoting import WeightVector, _var1_engine, mgsp
 from .rng import Xoshiro256pp, gaussian_matrix
@@ -141,6 +141,7 @@ def hqrrp_blk(
     col_offset, sketch arrays, packed matrix, panels, and permutation;
     it exists so invariants can be checked mid-flight.
     """
+    check_finite(a, "input matrix")
     if mode not in ("basic", "downdate"):
         raise ValueError(f"unknown mode {mode!r}")
     if b < 1 or p < 0:

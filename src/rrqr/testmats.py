@@ -102,41 +102,68 @@ def gen_kahan(n: int, zeta: float = 0.99999) -> np.ndarray:
 def jacobi_svd_values(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 30):
     """Singular values by one-sided Jacobi rotations, descending.
 
-    Sweeps rotate column pairs until every pair's cosine falls below
-    `tol`; raises RuntimeError with the residual if `max_sweeps` cyclic
-    sweeps do not converge.
+    An independent oracle for tests; the library itself takes singular
+    values from LAPACK.  Pairs follow the Brent-Luk round-robin order:
+    each step rotates n/2 disjoint column pairs at once (a zero column
+    pads odd n), and the n-1 steps of a sweep meet every pair once.
+    Sweeps run until every pair's cosine falls below `tol`; raises
+    RuntimeError with the residual if `max_sweeps` sweeps do not
+    converge.  The values are recomputed from exact column norms.
     """
-    w = np.array(a, dtype=np.float64, order="F")
+    w = np.asarray(a, dtype=np.float64)
     if w.shape[0] < w.shape[1]:
-        w = np.asfortranarray(w.T)
+        w = w.T
     n = w.shape[1]
+    h = (n + 1) // 2
+    # row i holds column i; row k of the top half is paired with row k
+    # of the bottom half
+    cols = np.zeros((2 * h, w.shape[0]))
+    cols[:n] = w.T
+    spare = np.empty_like(cols)
+    off = math.inf
     for _ in range(max_sweeps):
         off = 0.0
         # exact refresh each sweep: the rotation updates below drift on
         # strongly graded columns and can even round negative
-        norms2 = np.einsum("ij,ij->j", w, w)
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                alpha, beta = norms2[i], norms2[j]
-                if alpha <= 0.0 or beta <= 0.0:
-                    continue
-                gamma = float(w[:, i] @ w[:, j])
-                cosine = abs(gamma) / math.sqrt(alpha * beta)
-                if cosine <= tol:
-                    continue
-                off = max(off, cosine)
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                wi = w[:, i].copy()
-                w[:, i] = c * wi - s * w[:, j]
-                w[:, j] = s * wi + c * w[:, j]
-                norms2[i] = alpha - t * gamma
-                norms2[j] = beta + t * gamma
+        norms2 = np.einsum("ij,ij->i", cols, cols)
+        spare_norms2 = np.empty_like(norms2)
+        for _ in range(2 * h - 1):
+            x, y = cols[:h], cols[h:]
+            alpha, beta = norms2[:h], norms2[h:]
+            gamma = np.einsum("ij,ij->i", x, y)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                live = (alpha > 0.0) & (beta > 0.0)
+                cosine = np.where(live, np.abs(gamma) / (np.sqrt(alpha) * np.sqrt(beta)), 0.0)
+                rotate = cosine > tol
+                if rotate.any():
+                    off = max(off, float(cosine.max()))
+                    zeta = (beta - alpha) / (2.0 * gamma)
+                    t = np.where(
+                        rotate, np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta)), 0.0
+                    )
+                    c = 1.0 / np.sqrt(1.0 + t * t)
+                    s = (c * t)[:, None]
+                    c = c[:, None]
+                    x_new = c * x - s * y
+                    y *= c
+                    y += s * x
+                    x[...] = x_new
+                    norms2[:h] = alpha - t * gamma
+                    norms2[h:] = beta + t * gamma
+            if h > 1:
+                # round robin: the first row stays, the others turn one
+                # place around the ring top[1:] + reversed(bottom)
+                for src, dst in ((cols, spare), (norms2, spare_norms2)):
+                    dst[0] = src[0]
+                    dst[1] = src[h]
+                    dst[2:h] = src[1 : h - 1]
+                    dst[h:-1] = src[h + 1 :]
+                    dst[-1] = src[h - 1]
+                cols, spare = spare, cols
+                norms2, spare_norms2 = spare_norms2, norms2
         if off == 0.0:
-            exact = np.sqrt(np.einsum("ij,ij->j", w, w))  # drop downdating drift
-            return np.sort(exact)[::-1].copy()
+            exact = np.sqrt(np.einsum("ij,ij->i", cols, cols))  # drop downdating drift
+            return np.sort(exact)[::-1][:n].copy()
     raise RuntimeError(
         f"Jacobi sweep limit of {max_sweeps} reached, max column cosine {off:.3e}"
     )

@@ -4,6 +4,7 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import rrqr.cli as cli
 from rrqr import frobenius_norm
@@ -161,15 +162,24 @@ def test_quality_requires_kind_or_input():
     assert exc.value.code == 2
 
 
-def test_quality_warns_beyond_oracle_limit(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "JACOBI_LIMIT", 8)
+def test_quality_spectral_floors_of_input_file_from_svdvals(tmp_path):
+    # a matrix read from a file has no known spectrum: both bound columns
+    # must be the Eckart-Young floors of its LAPACK singular values
+    src = tmp_path / "g.mtx"
+    a = gauss(11, 20, 16)
+    write_matrix_market(src, a)
     prefix = str(tmp_path / "q")
     assert run(
-        ["quality", "--kind", "bie", "--n", "16", "--algo", "hqrp", "--spectral", "-o", prefix]
+        ["quality", "--in", str(src), "--b", "4", "--algo", "hqrp", "--spectral", "-o", prefix]
     ) == 0
-    assert "oracle limit" in capsys.readouterr().err
-    rows = read_csv(prefix + ".quality.csv")
-    assert all(r[4] == "" and r[5] == "" for r in rows[1:])  # bounds left empty
+    sv = scipy.linalg.svdvals(read_matrix_market(src))
+    rows = read_csv(prefix + ".quality.csv")[1:]
+    assert [int(r[1]) for r in rows] == [0, 4, 8, 12, 16]
+    for r in rows:
+        k = int(r[1])
+        tail = sv[k:]
+        assert float(r[4]) == pytest.approx(np.sqrt(np.sum(tail**2)), rel=1e-12, abs=0.0)
+        assert float(r[5]) == pytest.approx(tail[0] if k < len(sv) else 0.0, rel=1e-12, abs=0.0)
 
 
 def test_bench_csv(tmp_path):

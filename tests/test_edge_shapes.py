@@ -35,6 +35,29 @@ def test_tiny_shapes_stay_valid(m, n, name, run):
     assert recon < 1e-13 and orth < 1e-13
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "name,run",
+    [
+        ("hqr", lambda x, gen: hqr_unb(x)),
+        ("hqr-blk", lambda x, gen: hqr_blk(x, 2)),
+        ("hqrp", lambda x, gen: hqrp_blk(x, 2)),
+        ("hqrp-unb", lambda x, gen: hqrp_unb(x)),
+        ("hqrrp", lambda x, gen: hqrrp_blk(x, 2, gen, p=1)),
+        ("hqrrp-basic", lambda x, gen: hqrrp_blk(x, 2, gen, p=0, mode="basic")),
+    ],
+)
+def test_non_finite_input_rejected_before_any_draw(name, run, bad):
+    a = gaussian_matrix(Xoshiro256pp(3), 5, 4)
+    a[2, 1] = bad
+    before = a.copy()
+    gen = Xoshiro256pp(1)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        run(a, gen)
+    assert np.array_equal(a, before, equal_nan=True)
+    assert np.array_equal(gen.raw(4), Xoshiro256pp(1).raw(4))
+
+
 @pytest.mark.parametrize("name,run", DRIVERS)
 def test_zero_matrix_factors_exactly(name, run):
     z = np.zeros((6, 4), order="F")

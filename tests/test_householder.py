@@ -6,7 +6,7 @@ in conftest (dense H(u) products), never by the code paths under test.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -82,15 +82,19 @@ def test_housev_rejects_empty():
         elements=st.floats(-1e6, 1e6, allow_nan=False),
     ).filter(lambda x: np.any(x != 0))
 )
+@example(np.full(12, 2.2e-313))
 def test_housev_properties(x):
     ref = housev(x)
     amax = np.max(np.abs(x))
     nrm = amax * np.linalg.norm(x / amax)  # scaled: plain norm underflows below 1e-154
-    assert abs(abs(ref.rho) - nrm) <= 8 * EPS * nrm
+    # results of subnormal inputs round in absolute steps of one subnormal,
+    # which a relative bound below that step cannot express
+    bound = max(8 * EPS * nrm, 8 * np.finfo(float).smallest_subnormal)
+    assert abs(abs(ref.rho) - nrm) <= bound
     assert abs(ref.tau - 0.5 * (1 + ref.u_tail @ ref.u_tail)) <= 4 * EPS * ref.tau
     out = _apply_reflector(ref, x)
-    assert abs(out[0] - ref.rho) <= 8 * EPS * nrm
-    assert np.linalg.norm(out[1:]) <= 8 * EPS * nrm
+    assert abs(out[0] - ref.rho) <= bound
+    assert np.linalg.norm(out[1:]) <= bound
 
 
 def test_hqr_on_upper_triangular_flips_diagonal_signs():

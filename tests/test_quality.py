@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import rrqr.cli
+import rrqr.quality
+import rrqr.testmats
 from rrqr import (
     Xoshiro256pp,
     eckart_young_bounds,
@@ -75,7 +78,21 @@ def test_spectral_errors_close_to_jacobi():
     r = f.r_matrix()
     for idx, k in enumerate([0, 8, 16]):
         exact = jacobi_svd_values(r[k:, k:])[0]
-        assert rep.e_spec[idx] == pytest.approx(exact, rel=1e-5)
+        assert rep.e_spec[idx] == pytest.approx(exact, rel=1e-12)
+
+
+def test_quality_runs_without_the_jacobi_oracle(tmp_path, monkeypatch):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the Jacobi oracle was called")
+
+    for module in (rrqr, rrqr.testmats, rrqr.quality, rrqr.cli):
+        monkeypatch.setattr(module, "jacobi_svd_values", no_oracle, raising=False)
+    a = gauss(13, 24, 24)
+    rep = truncation_errors(a, hqrp_blk(a.copy(order="F"), 8), [0, 8, 16], with_spectral=True)
+    assert rep.e_spec[0] == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+    prefix = str(tmp_path / "q")
+    argv = ["quality", "--kind", "bie", "--n", "16", "--algo", "hqrp", "--spectral", "-o", prefix]
+    assert rrqr.cli.main(argv) == 0
 
 
 def test_spectral_norm_est_matches_jacobi():
