@@ -121,10 +121,15 @@ class FlopCounter:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, fc: FlopCounter | None = None) -> np.ndarray:
-    """a @ b, counted as a level-3 product when `fc` is given."""
+    """a @ b, counted as a level-3 product when `fc` is given.
+
+    The product is returned in column-major order, as the blocks it is
+    subtracted from are stored; a row-major result would make that
+    subtraction walk memory transposed.
+    """
     if fc is not None:
         fc.add(2 * a.shape[0] * a.shape[1] * b.shape[1])
-    return a @ b
+    return (b.T @ a.T).T
 
 
 def solve_upper(

@@ -7,9 +7,11 @@ keeps the head update cancellation-free; R diagonals therefore come out
 with flipped signs relative to the input.
 
 A factorization overwrites its input: R lives on and above the diagonal,
-reflector tails below it.  Alongside each column panel an upper-triangular
-block T accumulates, equal to the strictly upper part of U^T U plus
-diag(tau), which turns the reflector product into the block form
+reflector tails below it.  Unpivoted panels are factored by LAPACK dgeqrf,
+whose reflectors are mapped onto this convention.  Each finished column
+panel gets an upper-triangular block T, the strictly upper part of U^T U
+plus diag(tau) (the UT transform of Joffrain et al., 2006), which turns
+the reflector product into the block form
 
     H(u_{b-1}) ... H(u_1) H(u_0) = I - U T^{-T} U^T
 
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import qr
 
 from .core import FlopCounter, check_finite, matmul, solve_upper, trail_to_permutation
 
@@ -97,49 +100,60 @@ def _unit_lower(panel: np.ndarray, width: int) -> np.ndarray:
     return u
 
 
-def _hqr_core(a: np.ndarray, t: np.ndarray, nsteps: int) -> np.ndarray:
-    """Unblocked HQR with T accumulation over the leading `nsteps` columns.
+def _form_t(panel: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """T block of a factored panel: strictly upper part of U^T U plus diag(taus)."""
+    width = len(taus)
+    u = _unit_lower(panel, width)
+    t = np.triu(u.T @ u, 1)
+    t[np.diag_indices(width)] = taus
+    return t
 
-    Every trailing column of `a` is updated rank-1 at each step; T gets
-    one column per reflector (t_{0:i,i} = U_{i:,0:i}^T u_i, t_ii = tau_i).
+
+def _lapack_qr(x: np.ndarray, pivoting: bool = False):
+    """Factor `x` in place by LAPACK dgeqrf (dgeqp3 with `pivoting`).
+
+    Returns (taus, order): the taus of the `housev` convention, and the
+    0-based column order that dgeqp3 chose and `x` now follows (None
+    without pivoting).  Both conventions take rho = -sign(x_0) ||x|| and a
+    unit head, so tau = 1/tau_lapack.  LAPACK skips a reflector whose tail
+    is already zero (tau_lapack = 0, H = I), where `housev` negates the
+    head (tau = 1/2); R's row k is then negated from column k on, which is
+    exact because later reflectors touch only lower rows.  At a -0.0 head
+    LAPACK takes rho = +||x|| where `housev` takes sign(0) = +1; both are
+    valid reflectors.
     """
-    n = a.shape[1]
-    taus = np.empty(nsteps)
-    for i in range(nsteps):
-        rho, u_tail, tau = housev(a[i:, i])
-        a[i, i] = rho
-        a[i + 1 :, i] = u_tail
-        taus[i] = tau
-        if i + 1 < n:
-            row = a[i, i + 1 :]
-            tail = a[i + 1 :, i + 1 :]
-            w = (row + u_tail @ tail) / tau
-            row -= w
-            tail -= np.outer(u_tail, w)
-        if i > 0:
-            t[:i, i] = a[i, :i] + u_tail @ a[i + 1 :, :i]
-        t[i, i] = tau
-    return taus
+    out = qr(x, mode="raw", pivoting=pivoting, check_finite=False)
+    h, tau_lapack = out[0]
+    x[...] = h
+    taus = np.full(len(tau_lapack), 0.5)
+    reflected = tau_lapack != 0.0
+    taus[reflected] = 1.0 / tau_lapack[reflected]
+    for k in np.flatnonzero(~reflected):
+        x[k, k:] *= -1.0
+    return taus, (out[2] if pivoting else None)
 
 
 def hqr_unb_formT(panel: np.ndarray, t: np.ndarray | None = None):
-    """Unblocked panel factorization; returns (T, taus), panel overwritten."""
+    """Unblocked panel factorization by LAPACK; returns (T, taus).
+
+    The panel is overwritten with R and the reflector tails, and T is
+    formed from the finished panel (into `t` when one is given).
+    """
     h, w = panel.shape
     if w > h:
         raise ValueError(f"panel must have at most as many columns as rows ({h}x{w})")
+    taus, _ = _lapack_qr(panel)
     if t is None:
-        t = np.zeros((w, w))
-    taus = _hqr_core(panel, t, w)
+        return _form_t(panel, taus), taus
+    t[:w, :w] = _form_t(panel, taus)
     return t, taus
 
 
 def hqr_unb(a: np.ndarray, fc: FlopCounter | None = None) -> QRFactors:
-    """Plain unblocked HQR of any shape; runs min(m, n) steps in place."""
+    """Unblocked HQR of any shape by LAPACK dgeqrf, in place, with one T block."""
     check_finite(a, "input matrix")
-    r = min(a.shape)
-    t = np.zeros((r, r))
-    taus = _hqr_core(a, t, r)
-    return QRFactors(a, [0], [t], taus)
+    taus, _ = _lapack_qr(a)
+    return QRFactors(a, [0], [_form_t(a, taus)], taus)
 
 
 def apply_block_qt(

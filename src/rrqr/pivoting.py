@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .core import EPS, FlopCounter, _prefix_trail, check_finite, matmul
-from .householder import QRFactors, housev
+from .householder import QRFactors, _form_t, housev
 
 
 class WeightVector:
@@ -140,9 +140,10 @@ def _var1_engine(
     """Pivoted unblocked HQR over a window of `ncols` columns at (row0, col0).
 
     Runs `nsteps` steps of: pivot by weight, reflect, rank-1 trailing update
-    across the window, accumulate T, downdate weights by the new R row.
-    Column swaps act on full columns of `a` so R rows committed above the
-    window stay consistent.  Returns (taus, local trail).
+    across the window, downdate weights by the new R row; T is formed into
+    `t` from the finished panel.  Column swaps act on full columns of `a`
+    so R rows committed above the window stay consistent.  Returns (taus,
+    local trail).
     """
     m = a.shape[0]
     taus = np.empty(nsteps)
@@ -157,12 +158,6 @@ def _var1_engine(
         a[row0 + k, col0 + k] = rho
         a[row0 + k + 1 :, col0 + k] = u_tail
         taus[k] = tau
-        if k > 0:
-            t[:k, k] = (
-                a[row0 + k, col0 : col0 + k]
-                + u_tail @ a[row0 + k + 1 :, col0 : col0 + k]
-            )
-        t[k, k] = tau
         if k + 1 < ncols:
             row = a[row0 + k, col0 + k + 1 : col0 + ncols]
             tail = a[row0 + k + 1 :, col0 + k + 1 : col0 + ncols]
@@ -178,6 +173,7 @@ def _var1_engine(
             )
         if step_hook is not None:
             step_hook(k, a, weights)
+    t[:nsteps, :nsteps] = _form_t(a[row0:, col0 : col0 + nsteps], taus)
     return taus, trail
 
 
@@ -220,7 +216,8 @@ def hqrp_panel_var3(
     A22 -= U2 @ w_mat[:nsteps, nsteps:].
 
     Rows of `w_mat` at and beyond the current step are scratch and must
-    not be read.  Returns (taus, local trail).
+    not be read.  T is formed into `t` from the finished panel.  Returns
+    (taus, local trail).
     """
     if w_mat.shape[0] < nsteps or w_mat.shape[1] < win:
         raise ValueError("W buffer smaller than the panel window")
@@ -242,12 +239,6 @@ def hqrp_panel_var3(
         a[row0 + k, col0 + k] = rho
         a[row0 + k + 1 :, col0 + k] = u_tail
         taus[k] = tau
-        if k > 0:
-            t[:k, k] = (
-                a[row0 + k, col0 : col0 + k]
-                + u_tail @ a[row0 + k + 1 :, col0 : col0 + k]
-            )
-        t[k, k] = tau
         row = a[row0 + k, col0 + k + 1 : col0 + win]
         if k > 0:
             row -= a[row0 + k, col0 : col0 + k] @ w_mat[:k, k + 1 : win]
@@ -264,6 +255,7 @@ def hqrp_panel_var3(
             row,
             lambda j: _var3_residual_norm2(a, w_mat, row0, col0, k, j),
         )
+    t[:nsteps, :nsteps] = _form_t(a[row0:, col0 : col0 + nsteps], taus)
     return taus, trail
 
 

@@ -4,8 +4,9 @@ Pivot blocks are chosen on a small sketch Y = G A, where G is Gaussian
 with b + p rows (p is the oversampling margin, default 5): the first b
 pivots of classical column-pivoted QR of Y (LAPACK dgeqp3, through
 ``pivoting.mgsp``) pick the columns, the panel is then factored with
-locally pivoted Householder QR, and the trailing matrix gets one
-accumulated-reflector update per panel.
+locally pivoted Householder QR (LAPACK dgeqp3, its reflectors mapped onto
+the ``housev`` convention and T formed from the finished panel), and the
+trailing matrix gets one accumulated-reflector update per panel.
 
 Two ways to refresh the sketch between panels:
 
@@ -31,9 +32,16 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import FlopCounter, check_finite, matmul, permutation_to_trail, solve_upper
-from .householder import QRFactors, _unit_lower, apply_block_qt
-from .pivoting import WeightVector, _var1_engine, mgsp
+from .core import (
+    FlopCounter,
+    _prefix_trail,
+    check_finite,
+    matmul,
+    permutation_to_trail,
+    solve_upper,
+)
+from .householder import QRFactors, _form_t, _lapack_qr, _unit_lower, apply_block_qt
+from .pivoting import mgsp
 from .rng import Xoshiro256pp, gaussian_matrix
 
 
@@ -132,8 +140,8 @@ def hqrrp_blk(
     """Randomized blocked column-pivoted Householder QR, in place.
 
     Each iteration samples the trailing block, permutes the chosen b
-    columns to the front, factors the panel with locally pivoted
-    unblocked QR (so R diagonals decrease in magnitude within each
+    columns to the front, factors the panel with locally pivoted QR
+    (LAPACK dgeqp3, so R diagonals decrease in magnitude within each
     diagonal block), applies the accumulated reflector to the trailing
     matrix, and refreshes the sketch per `mode` ("basic" or "downdate").
 
@@ -180,11 +188,11 @@ def hqrrp_blk(
             if pi != pj:
                 a[:, [pi, pj]] = a[:, [pj, pi]]
                 perm[[pi, pj]] = perm[[pj, pi]]
-        t = np.zeros((bw, bw))
         panel = a[j:, j : j + bw]
-        local_w = WeightVector(np.einsum("ij,ij->j", panel, panel))
-        taus, local_trail = _var1_engine(a, j, j, bw, bw, t, local_w, fc)
-        for k, s in enumerate(local_trail):
+        taus, order = _lapack_qr(panel, pivoting=True)
+        a[:j, j : j + bw] = a[:j, j + order]
+        t = _form_t(panel, taus)
+        for k, s in enumerate(_prefix_trail(order, bw)[0]):
             pi, pj = j + k, j + int(s)
             iter_swaps.append((pi, pj))
             if pi != pj:

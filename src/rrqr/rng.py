@@ -17,9 +17,6 @@ Stream layout, per call:
   Pair ``i`` yields ``r*cos(2*pi*u2[i]), r*sin(2*pi*u2[i])`` with
   ``r = sqrt(-2*ln(u1[i]))``, interleaved in that order as outputs
   ``2i`` and ``2i + 1``; for odd ``n`` the last sine is dropped.
-
-The inner loop is jitted with numba when available; the pure-Python
-fallback produces the identical stream.
 """
 
 from __future__ import annotations
@@ -27,11 +24,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-try:
-    import numba
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
 
 _MASK = (1 << 64) - 1
 
@@ -70,34 +62,6 @@ def _fill_py(state, out):
     state[3] = s3
 
 
-if numba is not None:
-
-    @numba.njit(cache=True)
-    def _fill_numba(state, out):  # pragma: no cover - numba-compiled
-        s0 = state[0]
-        s1 = state[1]
-        s2 = state[2]
-        s3 = state[3]
-        for i in range(out.shape[0]):
-            x = s0 + s3
-            out[i] = ((x << np.uint64(23)) | (x >> np.uint64(41))) + s0
-            t = s1 << np.uint64(17)
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = (s3 << np.uint64(45)) | (s3 >> np.uint64(19))
-        state[0] = s0
-        state[1] = s1
-        state[2] = s2
-        state[3] = s3
-
-    _fill = _fill_numba
-else:  # pragma: no cover
-    _fill = _fill_py
-
-
 class Xoshiro256pp:
     """xoshiro256++ stream with Box-Muller normal variates.
 
@@ -115,7 +79,7 @@ class Xoshiro256pp:
     def raw(self, n: int) -> np.ndarray:
         """Next `n` raw 64-bit words."""
         out = np.empty(int(n), dtype=np.uint64)
-        _fill(self._state, out)
+        _fill_py(self._state, out)
         return out
 
     def uniforms(self, n: int) -> np.ndarray:

@@ -7,6 +7,7 @@ from rrqr import (
     Xoshiro256pp,
     factorization_errors,
     gaussian_matrix,
+    gen_fast_decay,
     hqr_blk,
     hqr_unb,
     hqrp_blk,
@@ -87,3 +88,25 @@ def test_single_row_pivoting_orders_by_magnitude():
     f = hqrp_unb(a.copy(order="F"))
     assert trail_to_permutation(f.trail, 3)[0] == 1  # largest-magnitude entry first
     assert abs(f.r_matrix()[0, 0]) == pytest.approx(7.0)
+
+
+@pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+def test_power_of_two_scaling_scales_r_exactly(k):
+    # scaling by s = 2^k is exact, so pivots and |r_kk| / s must not move
+    # anywhere in the double range; hqrp_blk, whose weights are squared
+    # norms, is not held to this yet
+    a, _ = gen_fast_decay(128, Xoshiro256pp(17))
+    s = 2.0**k
+    runs = [
+        ("hqr-blk", lambda x: hqr_blk(x, 16)),
+        ("hqrrp", lambda x: hqrrp_blk(x, 16, Xoshiro256pp(5), p=5)),
+        ("hqrrp-basic", lambda x: hqrrp_blk(x, 16, Xoshiro256pp(5), p=5, mode="basic")),
+    ]
+    for name, run in runs:
+        ref = run(a.copy(order="F"))
+        f = run(np.asfortranarray(a * s))
+        assert np.array_equal(f.trail, ref.trail), name
+        d_ref = np.abs(np.diag(ref.r_matrix()))
+        d = np.abs(np.diag(f.r_matrix())) / s
+        err = np.max(np.abs(d - d_ref) / d_ref)
+        assert err <= 1e-14, (name, err)

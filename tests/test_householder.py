@@ -97,10 +97,17 @@ def test_housev_properties(x):
     assert np.linalg.norm(out[1:]) <= bound
 
 
-def test_hqr_on_upper_triangular_flips_diagonal_signs():
+@pytest.mark.parametrize(
+    "factor",
+    [hqr_unb, lambda a: hqr_blk(a, 2), lambda a: hqr_blk(a, 4)],
+    ids=["unb", "blk-2", "blk-4"],
+)
+def test_hqr_on_upper_triangular_flips_diagonal_signs(factor):
+    # every column arrives with a zero tail: housev still reflects it
+    # (tau = 1/2), and trailing panels see that through apply_block_qt
     a = np.triu(np.abs(gauss(1, 6, 6))) + 2 * np.eye(6)
     a0 = a.copy(order="F")
-    f = hqr_unb(a.copy(order="F"))
+    f = factor(a.copy(order="F"))
     assert np.diag(f.r_matrix()) == pytest.approx(-np.diag(a0), rel=1e-14)
     assert reconstruction_error(a0, f) <= 1e-13
 

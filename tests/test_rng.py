@@ -4,7 +4,6 @@ stream and the derived normals are frozen here as regression values."""
 import numpy as np
 import pytest
 
-import rrqr.rng as rng_mod
 from rrqr import Xoshiro256pp, gaussian_matrix
 
 
@@ -52,17 +51,6 @@ def test_column_major_addressing():
 def test_uniforms_in_half_open_unit_interval():
     u = Xoshiro256pp(9).uniforms(10000)
     assert np.all(u > 0.0) and np.all(u <= 1.0)
-
-
-def test_python_fallback_matches_jitted_stream():
-    jitted = Xoshiro256pp(77)
-    out_jit = jitted.raw(2048)
-    pure = Xoshiro256pp(77)
-    out_py = np.empty(2048, dtype=np.uint64)
-    rng_mod._fill_py(pure._state, out_py)
-    assert np.array_equal(out_jit, out_py)
-    # states advanced identically too
-    assert np.array_equal(jitted._state, pure._state)
 
 
 def test_normals_are_finite():
