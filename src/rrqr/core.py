@@ -30,7 +30,22 @@ def check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 
 def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(a))
+    """||a||_F at any finite scale.
+
+    ``np.linalg.norm`` sums squared entries, which overflow above about
+    1e154 and underflow below about 1e-154; its result is kept only where
+    it lies well inside the double range.  Otherwise `a` is first divided
+    by the power of two at its largest absolute entry, which is exact.
+    """
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(a))
+    if 2.0**-500 < nrm < 2.0**500:
+        return nrm
+    amax = float(np.max(np.abs(a), initial=0.0))
+    if not 0.0 < amax < np.inf:
+        return amax  # zero, Inf or NaN: the norm is that too
+    scale = np.ldexp(1.0, np.frexp(amax)[1])
+    return scale * float(np.linalg.norm(np.asarray(a) / scale))
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,10 @@ def read_matrix_market(path) -> np.ndarray:
         ]:
             raise ValueError(f"{path}: unsupported Matrix Market header: {header!r}")
         line = fh.readline()
-        while line.lstrip().startswith("%") or not line.strip():
+        while line and (line.lstrip().startswith("%") or not line.strip()):
             line = fh.readline()
+        if not line:
+            raise ValueError(f"{path}: file ends before the size line")
         m, n = (int(tok) for tok in line.split())
         data = np.loadtxt(fh, dtype=np.float64, ndmin=1)
     if data.size != m * n:

@@ -92,10 +92,16 @@ def _spectral_norm(b_mat: np.ndarray) -> float:
 
 
 def eckart_young_bounds(sigmas: np.ndarray, ks) -> tuple[np.ndarray, np.ndarray]:
-    """(Frobenius, spectral) lower bounds for each truncation rank in `ks`."""
+    """(Frobenius, spectral) lower bounds for each truncation rank in `ks`.
+
+    The tail sums of squares are taken on sigmas divided by the power of
+    two at their norm, which is exact and keeps them from overflowing or
+    underflowing at any finite scale.
+    """
     sigmas = np.asarray(sigmas, dtype=np.float64)
-    tail2 = np.concatenate([np.cumsum((sigmas**2)[::-1])[::-1], [0.0]])
-    bound_frob = np.array([np.sqrt(tail2[min(k, len(sigmas))]) for k in ks])
+    scale = np.ldexp(1.0, np.frexp(frobenius_norm(sigmas))[1])
+    tail2 = np.concatenate([np.cumsum(((sigmas / scale) ** 2)[::-1])[::-1], [0.0]])
+    bound_frob = np.array([scale * np.sqrt(tail2[min(k, len(sigmas))]) for k in ks])
     padded = np.concatenate([sigmas, [0.0]])
     bound_spec = np.array([padded[min(k, len(sigmas))] for k in ks])
     return bound_frob, bound_spec

@@ -8,13 +8,16 @@ locally pivoted Householder QR (LAPACK dgeqp3, its reflectors mapped onto
 the ``housev`` convention and T formed from the finished panel), and the
 trailing matrix gets one accumulated-reflector update per panel.
 
-Two ways to refresh the sketch between panels:
+Both modes build their sketch with ``build_sketch``; they differ in how
+it is refreshed between panels:
 
-* ``basic``    -- draw a fresh G every iteration and multiply it against
-                  the updated trailing block;
-* ``downdate`` -- keep Y current by subtracting the contribution of the
-                  finished panel, choosing the next randomizing matrix as
-                  G Q so that only thin products are needed:
+* ``basic``    -- build a fresh sketch of the updated trailing block at
+                  every panel;
+* ``downdate`` -- build one sketch of A, then keep Y current by
+                  subtracting the contribution of the finished panel,
+                  choosing the next randomizing matrix as G Q (one
+                  ``apply_block_qt`` on G^T) so that only thin products
+                  are needed:
 
       Y2_new = Y2 - (G1 - (G1 U11 + G2 U21) T11^{-1} U11^T) R12,
 
@@ -32,15 +35,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import (
-    FlopCounter,
-    _prefix_trail,
-    check_finite,
-    matmul,
-    permutation_to_trail,
-    solve_upper,
-)
-from .householder import QRFactors, _form_t, _lapack_qr, _unit_lower, apply_block_qt
+from .core import FlopCounter, check_finite, matmul, permutation_to_trail
+from .householder import QRFactors, _form_t, _lapack_qr, apply_block_qt
 from .pivoting import mgsp
 from .rng import Xoshiro256pp, gaussian_matrix
 
@@ -108,6 +104,10 @@ def downdate_sketch(
     performed, in order.  Updates Y columns by those swaps, replaces G by
     G Q restricted to the panel's reflectors, and downdates the trailing
     part of Y.
+
+    `iter_swaps` needs only the swaps that move columns into or out of the
+    panel; swaps inside the finished panel may be left out, since Y's
+    panel columns are never read once `col_offset` moves past them.
     """
     bw = t11.shape[0]
     if bw == 0:
@@ -120,10 +120,7 @@ def downdate_sketch(
     for pos, other in iter_swaps:
         if pos != other:
             sk.y[:, [pos, other]] = sk.y[:, [other, pos]]
-    u = _unit_lower(u_panel, bw)
-    gu = matmul(sk.g[:, j:], u, fc)
-    s = solve_upper(t11, gu.T, transpose=True, fc=fc).T  # S = (G U) T^{-1}
-    sk.g[:, j:] -= matmul(s, u.T, fc)
+    apply_block_qt(u_panel, t11, sk.g[:, j:].T, fc)  # (Q^T G^T)^T = G Q
     sk.y[:, j + bw :] -= matmul(sk.g[:, j : j + bw], r12, fc)
     sk.col_offset = j + bw
 
@@ -157,23 +154,20 @@ def hqrrp_blk(
     m, n = a.shape
     r = min(m, n)
     perm = np.arange(n, dtype=np.int64)
-    # like basic mode, draw no G when there is no column to factor
-    sk = build_sketch(rng, a, b, p, fc) if mode == "downdate" and r > 0 else None
+    sk = None
     starts, blocks, taus_parts = [], [], []
     j = 0
     while j < r:
         bw = min(b, r - j)
-        if mode == "basic":
-            g = gaussian_matrix(rng, b + p, m - j)
-            y_trail = matmul(g, a[j:, j:], fc)
-        else:
-            y_trail = sk.y[:, j:]
+        if sk is None or mode == "basic":
+            sk = build_sketch(rng, a[j:, j:], b, p, fc)
+        y_trail = sk.y[:, sk.col_offset :]
         if loop_hook is not None:
             loop_hook(
                 SimpleNamespace(
                     col_offset=j,
                     y=y_trail,
-                    g=sk.g if sk is not None else g,
+                    g=sk.g,
                     a=a,
                     panels=list(zip(starts, blocks)),
                     perm=perm.copy(),
@@ -181,32 +175,26 @@ def hqrrp_blk(
                 )
             )
         sel = select_block_pivots(y_trail, bw)
-        iter_swaps = []
-        for i, s in enumerate(sel):
-            pi, pj = j + i, j + int(s)
-            iter_swaps.append((pi, pj))
+        iter_swaps = [(j + i, j + int(s)) for i, s in enumerate(sel)]
+        for pi, pj in iter_swaps:
             if pi != pj:
                 a[:, [pi, pj]] = a[:, [pj, pi]]
                 perm[[pi, pj]] = perm[[pj, pi]]
         panel = a[j:, j : j + bw]
         taus, order = _lapack_qr(panel, pivoting=True)
         a[:j, j : j + bw] = a[:j, j + order]
+        perm[j : j + bw] = perm[j + order]
         t = _form_t(panel, taus)
-        for k, s in enumerate(_prefix_trail(order, bw)[0]):
-            pi, pj = j + k, j + int(s)
-            iter_swaps.append((pi, pj))
-            if pi != pj:
-                perm[[pi, pj]] = perm[[pj, pi]]
-        apply_block_qt(a[j:, j : j + bw], t, a[j:, j + bw :], fc)
+        apply_block_qt(panel, t, a[j:, j + bw :], fc)
         if mode == "downdate":
-            downdate_sketch(sk, a[j:, j : j + bw], t, a[j : j + bw, j + bw :], iter_swaps, fc)
+            downdate_sketch(sk, panel, t, a[j : j + bw, j + bw :], iter_swaps, fc)
         starts.append(j)
         blocks.append(t)
         taus_parts.append(taus)
         j += bw
-    # Sketch selection and panel pivoting both swap at each position, so the
-    # trail is the canonical decomposition of the net permutation (full
-    # length: displaced columns shuffle the tail region too).
+    # The net permutation mixes sketch swaps with panel gathers, so the trail
+    # is its canonical decomposition (full length: displaced columns shuffle
+    # the tail region too).
     return QRFactors(
         a,
         starts,

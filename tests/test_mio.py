@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rrqr.cli
 from rrqr.mio import (
     read_matrix,
     read_matrix_market,
@@ -86,3 +87,26 @@ def test_truncated_raw_rejected(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError):
         read_raw(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "%%MatrixMarket matrix array real general\n",
+        "%%MatrixMarket matrix array real general\n% a comment\n\n",
+    ],
+    ids=["header-only", "header-and-comment"],
+)
+def test_file_ending_before_size_line_rejected(tmp_path, text):
+    path = tmp_path / "short.mtx"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="short.mtx"):
+        read_matrix_market(path)
+
+
+def test_factor_exits_1_on_file_ending_before_size_line(tmp_path, capsys):
+    path = tmp_path / "short.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n% a comment\n")
+    argv = ["factor", "--algo", "hqr", "--in", str(path), "-o", str(tmp_path / "f")]
+    assert rrqr.cli.main(argv) == 1
+    assert "short.mtx" in capsys.readouterr().err

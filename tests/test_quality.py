@@ -8,7 +8,9 @@ import rrqr.quality
 import rrqr.testmats
 from rrqr import (
     Xoshiro256pp,
+    EPS,
     eckart_young_bounds,
+    factorization_errors,
     form_q,
     frobenius_norm,
     gen_fast_decay,
@@ -135,3 +137,29 @@ def test_report_carries_rdiag_and_labels():
     assert rep.seed == 3
     assert len(rep.r_diag) == 16
     assert np.all(rep.r_diag >= 0)
+
+
+SCALED_FACTORIZATIONS = {
+    "hqr_blk": lambda x: hqr_blk(x, 16),
+    "basic": lambda x: hqrrp_blk(x, 16, Xoshiro256pp(3), p=5, mode="basic"),
+    "downdate": lambda x: hqrrp_blk(x, 16, Xoshiro256pp(3), p=5, mode="downdate"),
+}
+
+
+@pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+def test_norms_and_errors_scale_with_the_input(k):
+    # squared entries overflow or underflow at these scales; the norms must not
+    s = 2.0**k
+    a, sig = gen_fast_decay(128, Xoshiro256pp(11))
+    ks = list(range(0, 129, 16))
+    assert frobenius_norm(s * a) == pytest.approx(s * frobenius_norm(a), rel=1e-14, abs=0.0)
+    bf, _ = eckart_young_bounds(s * sig, ks)
+    assert np.all(np.isfinite(bf))
+    assert bf == pytest.approx(s * eckart_young_bounds(sig, ks)[0], rel=1e-14, abs=0.0)
+    for name, factor in SCALED_FACTORIZATIONS.items():
+        e_frob = truncation_errors(a, factor(a.copy(order="F")), ks).e_frob
+        f = factor((s * a).copy(order="F"))
+        e_scaled = truncation_errors(s * a, f, ks).e_frob
+        assert e_scaled == pytest.approx(s * e_frob, rel=1e-14, abs=0.0), name
+        recon, orth = factorization_errors(s * a, f)
+        assert recon <= 50 * 128 * EPS and orth <= 50 * 128 * EPS, name

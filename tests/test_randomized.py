@@ -10,6 +10,7 @@ from rrqr import (
     build_sketch,
     downdate_sketch,
     frobenius_norm,
+    gaussian_matrix,
     gen_fast_decay,
     hqrp_blk,
     hqrp_unb,
@@ -248,3 +249,25 @@ def test_empty_input_same_in_both_modes(shape):
         assert f.trail.tolist() == list(range(shape[1]))
         seen[mode] = rng.raw(1)[0]  # neither mode draws from the generator
     assert seen["basic"] == seen["downdate"]
+
+
+def test_generator_use_per_mode():
+    # basic mode draws a fresh (b+p) x (m-j) G at every panel start j,
+    # downdate mode one (b+p) x m G; both sketch the same A first
+    a = gauss(16, 70, 50)
+    expected = {"basic": [(21, 70 - j) for j in (0, 16, 32, 48)], "downdate": [(21, 70)]}
+    first = {}
+    for mode, draws in expected.items():
+        rng = Xoshiro256pp(17)
+
+        def hook(st):
+            if st.col_offset == 0:
+                first[mode] = (st.g.copy(), st.y.copy())
+
+        hqrrp_blk(a.copy(order="F"), 16, rng, p=5, mode=mode, loop_hook=hook)
+        ref = Xoshiro256pp(17)
+        for rows, cols in draws:
+            gaussian_matrix(ref, rows, cols)
+        assert np.array_equal(rng.raw(4), ref.raw(4)), mode
+    assert np.array_equal(first["basic"][0], first["downdate"][0])
+    assert np.array_equal(first["basic"][1], first["downdate"][1])
