@@ -8,6 +8,11 @@ across steps by subtracting the squares of the freshly computed R row,
 recomputes a weight exactly once it has decayed below 1e-8 of its reference
 value, where cancellation would otherwise corrupt the pivot order, and then
 makes the recomputed weight the new reference, as LAPACK's xLAQP2 does.
+Squared norms overflow or underflow long before the entries do, so
+``hqrp_unb`` and ``hqrp_blk`` first scale an input whose largest entry
+lies outside [2^-250, 2^250] by the power of two that brings it into
+[1/2, 1), which is exact, and scale R back at the end; reflectors, tau
+and T do not depend on the scale.
 
 Three factorization drivers live here:
 
@@ -67,6 +72,35 @@ class WeightVector:
             drifted = np.nonzero(tail < self.RECOMPUTE_FRACTION * ref)[0]
             for j in drifted:
                 tail[j] = ref[j] = recompute(start + int(j))
+
+
+# Largest entries within 2^-250..2^250 keep every weight far from both ends
+# of the double range.
+_SAFE_EXPONENT = 250
+
+
+def _scale_into_range(a: np.ndarray) -> int:
+    """Scale `a` in place by 2^-e so its largest |entry| lies in [1/2, 1).
+
+    Returns e, or 0 without touching `a` when that entry is zero or
+    already lies within 2^-_SAFE_EXPONENT..2^_SAFE_EXPONENT.
+    """
+    amax = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+    e = int(np.frexp(amax)[1])
+    if amax == 0.0 or abs(e) <= _SAFE_EXPONENT:
+        return 0
+    np.ldexp(a, -e, out=a)
+    return e
+
+
+def _scale_r_back(a: np.ndarray, steps: int, e: int) -> None:
+    """Undo `_scale_into_range` on R's rows and on the unfactored block."""
+    if e == 0:
+        return
+    for j in range(a.shape[1]):
+        top = a[: min(j + 1, steps), j]
+        np.ldexp(top, e, out=top)
+    np.ldexp(a[steps:, steps:], e, out=a[steps:, steps:])
 
 
 def compute_weights(a: np.ndarray) -> WeightVector:
@@ -183,13 +217,19 @@ def hqrp_unb(
     fc: FlopCounter | None = None,
     step_hook=None,
 ) -> QRFactors:
-    """Classical column-pivoted Householder QR, full trailing updates."""
+    """Classical column-pivoted Householder QR, full trailing updates.
+
+    An input outside the safe scale window is factored scaled by a power
+    of two (module docstring), and `step_hook` sees it scaled.
+    """
     check_finite(a, "input matrix")
     m, n = a.shape
     r = min(m, n) if steps is None else min(steps, m, n)
     t = np.zeros((r, r))
+    e = _scale_into_range(a)
     weights = compute_weights(a)
     taus, trail = _var1_engine(a, 0, 0, n, r, t, weights, fc, step_hook)
+    _scale_r_back(a, r, e)
     return QRFactors(a, [0], [t], taus, trail)
 
 
@@ -272,13 +312,16 @@ def hqrp_blk(a: np.ndarray, b: int, fc: FlopCounter | None = None) -> QRFactors:
 
     Produces factors identical (to roundoff) to `hqrp_unb`, including the
     pivot trail under the shared smallest-index tie-break; only the
-    rank-b trailing updates run as matrix-matrix multiplies.
+    rank-b trailing updates run as matrix-matrix multiplies.  An input
+    outside the safe scale window is factored scaled by a power of two
+    (module docstring).
     """
     check_finite(a, "input matrix")
     if b < 1:
         raise ValueError("block size must be >= 1")
     m, n = a.shape
     r = min(m, n)
+    e = _scale_into_range(a)
     weights = compute_weights(a)
     starts, blocks, taus_parts, trail_parts = [], [], [], []
     for j in range(0, r, b):
@@ -296,6 +339,7 @@ def hqrp_blk(a: np.ndarray, b: int, fc: FlopCounter | None = None) -> QRFactors:
         blocks.append(t)
         taus_parts.append(taus)
         trail_parts.append(trail + j)
+    _scale_r_back(a, r, e)
     return QRFactors(
         a,
         starts,

@@ -11,21 +11,52 @@ Stream layout, per call:
 * ``raw(n)`` consumes ``n`` generator steps.
 * ``uniforms(n)`` maps each 64-bit word to ``((w >> 11) + 1) * 2**-53``,
   a value in ``(0, 1]``.
-* ``normals(n)`` consumes ``2 * ceil(n / 2)`` words as two uniform
-  blocks, not as consecutive pairs: with ``h = ceil(n / 2)``, ``u1[i]``
-  comes from word ``i`` and ``u2[i]`` from word ``h + i`` of the call.
-  Pair ``i`` yields ``r*cos(2*pi*u2[i]), r*sin(2*pi*u2[i])`` with
-  ``r = sqrt(-2*ln(u1[i]))``, interleaved in that order as outputs
-  ``2i`` and ``2i + 1``; for odd ``n`` the last sine is dropped.
+* ``normals(n)`` consumes ``2 * ceil(n / 2)`` words in one ``raw`` call
+  and uses them as two uniform blocks, not as consecutive pairs: with
+  ``h = ceil(n / 2)``, ``u1[i]`` comes from word ``i`` and ``u2[i]`` from
+  word ``h + i`` of the call.  Pair ``i`` yields
+  ``r*cos(2*pi*u2[i]), r*sin(2*pi*u2[i])`` with ``r = sqrt(-2*ln(u1[i]))``,
+  interleaved in that order as outputs ``2i`` and ``2i + 1``; for odd
+  ``n`` the last sine is dropped.
+
+How the words are made does not change the stream.  A request of fewer
+than ``_LANE_MIN`` words runs the reference recurrence one word at a time
+(``_fill_py``).  A longer one is split into K lanes of L consecutive
+words, L a power of two, which numpy steps together with uint64 array
+operations; the lanes' words are read out lane by lane, which is stream
+order, and the generator keeps the last lane's state at the last word
+requested.  Lane k must start where the stream is after k*L steps.  The
+xoshiro256 transition is linear over GF(2) (Blackman & Vigna, ACM TOMS
+2021), so advancing a state by 2^e steps is a product with a 256x256 bit
+matrix (jump-ahead, Haramoto et al., INFORMS J. Comput. 2008).  Starting
+from one state, each doubling advances every start state found so far by
+their number times L, so K start states take log2(K) products.  The
+matrices are built by repeated squaring and cached bit-packed, 8 KB per
+power of two.  Requests longer than ``_CHUNK`` words run in several such
+passes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
 _MASK = (1 << 64) - 1
+
+# Shortest request the lane generator fills.  Measured on one core of a
+# 2-vCPU x86-64 host: at 512 words it and the scalar loop both take about
+# 0.35 ms, at 1024 words 0.47 ms against 0.68 ms, and at 65536 words
+# 4 ms against 70 ms.
+_LANE_MIN = 1024
+# Most words one lane pass fills.  Its arrays, 24 bytes a word, then stay
+# near 1.5 MB whatever the request.
+_CHUNK = 1 << 16
+# Longest lane; lanes of 128 words balance the per-step numpy calls,
+# shared by all lanes, against the jump-ahead products, paid per lane.
+_LANE_MAX = 128
 
 
 def _splitmix64(seed, count):
@@ -62,6 +93,126 @@ def _fill_py(state, out):
     state[3] = s3
 
 
+def _step_lanes(s1, s2, h0, h3, t):
+    """Advance every lane ``len(h0) - 1`` steps.
+
+    Column k of `h0` and `h3` holds lane k's words s0 and s3, row i as
+    they are before step i; row 0 is the input.  `s1` and `s2` hold the
+    lanes' other two words and are advanced in place; `t` is scratch.
+    """
+    for i in range(h0.shape[0] - 1):
+        s3 = h3[i + 1]
+        np.left_shift(s1, 17, out=t)
+        s2 ^= h0[i]
+        np.bitwise_xor(h3[i], s1, out=s3)
+        s1 ^= s2
+        np.bitwise_xor(h0[i], s3, out=h0[i + 1])
+        s2 ^= t
+        np.left_shift(s3, 45, out=t)
+        s3 >>= 19
+        s3 |= t
+
+
+@functools.cache
+def _jump(e):
+    """Bit-packed matrix of 2^e steps (read-only, shared).
+
+    Row i is the state that the state with only bit i set reaches after
+    2^e steps, where bit i is bit i % 8 of byte i // 8 of the state's
+    four words in memory.
+    """
+    if e == 0:
+        eye = np.eye(256, dtype=np.uint8)
+        basis = np.packbits(eye, axis=1, bitorder="little").view(np.uint64).T.copy()
+        h0 = np.stack([basis[0], basis[0]])
+        h3 = np.stack([basis[3], basis[3]])
+        _step_lanes(basis[1], basis[2], h0, h3, np.empty(256, dtype=np.uint64))
+        m = np.stack([h0[1], basis[1], basis[2], h3[1]], axis=1)
+    else:
+        m = _advance(_jump(e - 1), e - 1)
+    m.flags.writeable = False
+    return m
+
+
+_NIBBLES = np.arange(64)
+
+
+def _advance(states, e):
+    """(K, 4) states, each advanced 2^e steps.
+
+    The product with the bit matrix over GF(2) is an XOR of its rows,
+    taken four bits at a time from tables of the 16 XORs of each group of
+    four rows.
+    """
+    rows = _jump(e).reshape(64, 4, 4)
+    table = np.zeros((64, 16, 4), dtype=np.uint64)
+    for i in range(4):
+        np.bitwise_xor(table[:, : 1 << i], rows[:, i, None], out=table[:, 1 << i : 2 << i])
+    octets = states.view(np.uint8)
+    nibbles = np.empty((len(states), 64), dtype=np.uint8)
+    np.bitwise_and(octets, 15, out=nibbles[:, 0::2])
+    np.right_shift(octets, 4, out=nibbles[:, 1::2])
+    return np.bitwise_xor.reduce(table[_NIBBLES, nibbles], axis=1)
+
+
+def _fill_lanes(state, out):
+    """Fill `out` with the next words of `state` by stepping lanes together."""
+    n = out.shape[0]
+    lane = min(_LANE_MAX, 1 << ((n // 4).bit_length() // 2))
+    k = -(-n // lane)
+    starts = state.reshape(1, 4)
+    e = lane.bit_length() - 1
+    while len(starts) < k:
+        more = _advance(starts[: k - len(starts)], e)
+        starts = np.concatenate([starts, more])
+        e += 1
+    h0 = np.empty((lane + 1, k), dtype=np.uint64)
+    h3 = np.empty((lane + 1, k), dtype=np.uint64)
+    h0[0] = starts[:, 0]
+    h3[0] = starts[:, 3]
+    s1 = starts[:, 1].copy()
+    s2 = starts[:, 2].copy()
+    t = np.empty(k, dtype=np.uint64)
+    last = n - (k - 1) * lane  # words taken from the last lane
+    _step_lanes(s1, s2, h0[: last + 1], h3[: last + 1], t)
+    state[:] = h0[last, -1], s1[-1], s2[-1], h3[last, -1]
+    if last < lane:
+        _step_lanes(s1[:-1], s2[:-1], h0[last:, :-1], h3[last:, :-1], t[:-1])
+    # word = rotl(s0 + s3, 23) + s0, computed in place of s3
+    w = h3[:lane]
+    w += h0[:lane]
+    high = w << 23
+    w >>= 41
+    w |= high
+    w += h0[:lane]
+    out[: (k - 1) * lane].reshape(k - 1, lane)[...] = w[:, :-1].T
+    out[(k - 1) * lane :] = w[:last, -1]
+
+
+def _count(n) -> int:
+    """`n` as a non-negative int; ValueError for anything else."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"count must be an integer, got {n!r}") from None
+    if n < 0:
+        raise ValueError(f"count must be non-negative, got {n}")
+    return n
+
+
+def _uniforms(w):
+    """Words `w` mapped to doubles in (0, 1].
+
+    `w` is overwritten, so a long draw holds only its words and one
+    array of doubles at a time.
+    """
+    w >>= np.uint64(11)
+    w += np.uint64(1)
+    u = w.astype(np.float64)
+    u *= 2.0**-53
+    return u
+
+
 class Xoshiro256pp:
     """xoshiro256++ stream with Box-Muller normal variates.
 
@@ -78,25 +229,24 @@ class Xoshiro256pp:
 
     def raw(self, n: int) -> np.ndarray:
         """Next `n` raw 64-bit words."""
-        out = np.empty(int(n), dtype=np.uint64)
-        _fill_py(self._state, out)
+        out = np.empty(_count(n), dtype=np.uint64)
+        for c in range(0, len(out), _CHUNK):
+            part = out[c : c + _CHUNK]
+            fill = _fill_py if len(part) < _LANE_MIN else _fill_lanes
+            fill(self._state, part)
         return out
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next `n` doubles, uniform on (0, 1]."""
-        w = self.raw(n)
-        return ((w >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+        return _uniforms(self.raw(n))
 
     def normals(self, n: int) -> np.ndarray:
         """Next `n` standard normal variates."""
-        n = int(n)
-        if n == 0:
-            return np.empty(0)
+        n = _count(n)
         half = (n + 1) // 2
-        u1 = self.uniforms(half)
-        u2 = self.uniforms(half)
-        r = np.sqrt(-2.0 * np.log(u1))
-        ang = (2.0 * math.pi) * u2
+        u = _uniforms(self.raw(2 * half))
+        r = np.sqrt(-2.0 * np.log(u[:half]))
+        ang = (2.0 * math.pi) * u[half:]
         out = np.empty(2 * half)
         out[0::2] = r * np.cos(ang)
         out[1::2] = r * np.sin(ang)

@@ -93,8 +93,8 @@ def test_single_row_pivoting_orders_by_magnitude():
 @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
 def test_power_of_two_scaling_scales_r_exactly(k):
     # scaling by s = 2^k is exact, so pivots and |r_kk| / s must not move
-    # anywhere in the double range; hqrp_blk, whose weights are squared
-    # norms, is not held to this yet
+    # anywhere in the double range; hqrp_blk and hqrp_unb are held to this
+    # in the next test
     a, _ = gen_fast_decay(128, Xoshiro256pp(17))
     s = 2.0**k
     runs = [
@@ -110,3 +110,18 @@ def test_power_of_two_scaling_scales_r_exactly(k):
         d = np.abs(np.diag(f.r_matrix())) / s
         err = np.max(np.abs(d - d_ref) / d_ref)
         assert err <= 1e-14, (name, err)
+
+
+@pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+def test_power_of_two_scaling_of_classical_pivoting_is_exact(k):
+    # the squared-norm weights would overflow or underflow at these scales;
+    # the drivers rescale the input by a power of two, so the trail, the
+    # reflectors and tau are the unscaled ones and R is exactly 2^k R
+    a, _ = gen_fast_decay(128, Xoshiro256pp(17))
+    for name, run in [("hqrp-blk", lambda x: hqrp_blk(x, 16)), ("hqrp-unb", hqrp_unb)]:
+        ref = run(a.copy(order="F"))
+        f = run(np.asfortranarray(np.ldexp(a, k)))
+        assert np.array_equal(f.trail, ref.trail), name
+        assert np.array_equal(f.r_matrix(), np.ldexp(ref.r_matrix(), k)), name
+        assert np.array_equal(np.tril(f.packed, -1), np.tril(ref.packed, -1)), name
+        assert np.array_equal(f.taus, ref.taus), name

@@ -4,7 +4,9 @@ stream and the derived normals are frozen here as regression values."""
 import numpy as np
 import pytest
 
-from rrqr import Xoshiro256pp, gaussian_matrix
+from rrqr import Xoshiro256pp, gaussian_matrix, hqrrp_blk
+from rrqr import rng as rng_module
+from rrqr.rng import _fill_py
 
 
 def test_same_seed_same_matrix():
@@ -62,3 +64,109 @@ def test_normals_are_finite():
 def test_gaussian_matrix_validates_shape():
     with pytest.raises(ValueError):
         gaussian_matrix(Xoshiro256pp(0), 0, 3)
+
+
+# The lane generator must reproduce the scalar recurrence `_fill_py`, the
+# reference, word for word and leave the generator in the same state.
+
+LANE = rng_module._LANE_MAX
+CROSSOVER = rng_module._LANE_MIN
+LANE_SIZES = [
+    1,
+    CROSSOVER - 1,
+    CROSSOVER,
+    CROSSOVER + 1,
+    LANE - 1,
+    LANE,
+    LANE + 1,
+    3 * LANE + 1,
+    34500,
+    rng_module._CHUNK + 1,
+    250001,
+]
+
+
+def _scalar_raw(self, n):
+    out = np.empty(n, dtype=np.uint64)
+    _fill_py(self._state, out)
+    return out
+
+
+class ScalarXoshiro(Xoshiro256pp):
+    """The same generator with every word made by the scalar reference."""
+
+    raw = _scalar_raw
+
+
+@pytest.mark.parametrize("n", [0] + LANE_SIZES)
+def test_raw_matches_scalar_fill(n):
+    for seed in (123, 2**64 - 1):
+        gen, ref = Xoshiro256pp(seed), ScalarXoshiro(seed)
+        assert np.array_equal(gen.raw(n), ref.raw(n)), (seed, n)
+        assert np.array_equal(gen._state, ref._state), (seed, n)
+
+
+@pytest.mark.parametrize("n", LANE_SIZES)
+def test_lanes_match_scalar_fill(n):
+    # the lane path itself, also below the size at which raw takes it
+    state = Xoshiro256pp(7)._state
+    words, end = np.empty(n, dtype=np.uint64), state.copy()
+    ref, ref_end = np.empty(n, dtype=np.uint64), state.copy()
+    rng_module._fill_lanes(end, words)
+    _fill_py(ref_end, ref)
+    assert np.array_equal(words, ref)
+    assert np.array_equal(end, ref_end)
+
+
+def test_mixed_call_chain_matches_scalar_fill():
+    # hqrrp basic mode's draws at n = 1000, b = 64, p = 5, with short and
+    # odd requests in between, all from one generator
+    gen, ref = Xoshiro256pp(11), ScalarXoshiro(11)
+    sizes = [69 * (1000 - 64 * k) for k in range(16)]
+    for i, n in enumerate(sizes):
+        assert np.array_equal(gen.normals(n), ref.normals(n)), n
+        short = 2 * i + 1
+        assert np.array_equal(gen.raw(short), ref.raw(short)), short
+        assert np.array_equal(gen.normals(short), ref.normals(short)), short
+        assert np.array_equal(gen.uniforms(n + 1), ref.uniforms(n + 1)), n
+    assert np.array_equal(gen._state, ref._state)
+
+
+@pytest.mark.parametrize("mode", ["basic", "downdate"])
+def test_hqrrp_unchanged_by_lane_generator(mode, monkeypatch):
+    a = gaussian_matrix(Xoshiro256pp(4), 300, 500)
+    f = hqrrp_blk(a.copy(order="F"), 64, Xoshiro256pp(5), p=5, mode=mode)
+    monkeypatch.setattr(Xoshiro256pp, "raw", _scalar_raw)
+    ref = hqrrp_blk(a.copy(order="F"), 64, Xoshiro256pp(5), p=5, mode=mode)
+    assert np.array_equal(f.packed, ref.packed)
+    assert np.array_equal(f.trail, ref.trail)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 4096])
+def test_normals_draw_in_one_raw_call(n, monkeypatch):
+    calls = []
+    raw = Xoshiro256pp.raw
+
+    def counted(self, k):
+        calls.append(k)
+        return raw(self, k)
+
+    monkeypatch.setattr(Xoshiro256pp, "raw", counted)
+    Xoshiro256pp(1).normals(n)
+    assert calls == [2 * ((n + 1) // 2)]
+
+
+@pytest.mark.parametrize("method", ["raw", "uniforms", "normals"])
+@pytest.mark.parametrize("n", [-1, 2.7, 3.0, "4", None])
+def test_bad_counts_rejected(method, n):
+    gen = Xoshiro256pp(1)
+    with pytest.raises(ValueError):
+        getattr(gen, method)(n)
+    assert np.array_equal(gen.raw(4), Xoshiro256pp(1).raw(4))  # nothing drawn
+
+
+@pytest.mark.parametrize("method", ["raw", "uniforms", "normals"])
+def test_numpy_integer_counts_accepted(method):
+    for n in (np.int64(3), np.int32(3), np.uint8(3)):
+        out = getattr(Xoshiro256pp(1), method)(n)
+        assert np.array_equal(out, getattr(Xoshiro256pp(1), method)(3))
