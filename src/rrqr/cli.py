@@ -33,7 +33,7 @@ from .core import FlopCounter
 from .householder import hqr_blk, hqr_unb, form_q
 from .mio import read_matrix, write_matrix_market
 from .pivoting import hqrp_blk
-from .quality import eckart_young_bounds, reconstruction_error, truncation_errors
+from .quality import reconstruction_error, truncation_errors
 from .randomized import hqrrp_blk
 from .rng import Xoshiro256pp, gaussian_matrix
 from .testmats import gen_bie_single_layer, gen_fast_decay, gen_kahan, gen_s_shape
@@ -115,7 +115,6 @@ def cmd_quality(args) -> int:
         sigmas = svdvals(a, check_finite=False)
     r = min(a.shape)
     ks = list(range(0, r + 1, args.b))
-    bounds = eckart_young_bounds(sigmas, ks) if sigmas is not None else (None, None)
     with open(f"{args.output}.quality.csv", "w", newline="") as qf, open(
         f"{args.output}.rdiag.csv", "w", newline=""
     ) as df:
@@ -140,8 +139,8 @@ def cmd_quality(args) -> int:
                         k,
                         f"{rep.e_frob[idx]:.17g}",
                         f"{rep.e_spec[idx]:.17g}" if rep.e_spec is not None else "",
-                        f"{bounds[0][idx]:.17g}" if bounds[0] is not None else "",
-                        f"{bounds[1][idx]:.17g}" if bounds[1] is not None else "",
+                        f"{rep.sv_bound_frob[idx]:.17g}" if sigmas is not None else "",
+                        f"{rep.sv_bound_spec[idx]:.17g}" if sigmas is not None else "",
                     ]
                 )
             for i, rii in enumerate(rep.r_diag):

@@ -29,6 +29,55 @@ def check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     return a
 
 
+# ---------------------------------------------------------------------------
+# Driver prologue and epilogue
+#
+# Squared column norms, sketches Y = G A and trailing updates overflow or
+# underflow long before the entries do, so every factorization driver
+# factors an input whose largest |entry| lies outside 2^-250..2^250 scaled
+# by the power of two that brings it into [1/2, 1), which is exact, and
+# scales R back at the end.  Reflectors, tau and T do not depend on the
+# scale, and inputs inside the window keep their bits.
+# ---------------------------------------------------------------------------
+
+_SAFE_EXPONENT = 250
+
+
+def _scale_into_range(a: np.ndarray) -> int:
+    """Check a driver's input and scale it in place by 2^-e; returns e.
+
+    Raises ValueError, with `a` untouched, when `a` holds NaN or Inf or a
+    column whose 2-norm exceeds the double range.  Returns 0 without
+    touching `a` when its largest |entry| is zero or already lies within
+    2^-_SAFE_EXPONENT..2^_SAFE_EXPONENT.
+    """
+    hi = float(a.max(initial=0.0))
+    lo = float(a.min(initial=0.0))
+    if not (np.isfinite(hi) and np.isfinite(lo)):  # max and min propagate NaN
+        raise ValueError("input matrix contains NaN or Inf entries")
+    amax = max(hi, -lo)
+    e = int(np.frexp(amax)[1])
+    if amax == 0.0 or abs(e) <= _SAFE_EXPONENT:
+        return 0
+    # a column norm is below sqrt(m) * 2^e; measure it only near the top
+    if e + int(np.frexp(np.sqrt(a.shape[0]))[1]) >= 1024:
+        cmax = float(np.max(np.linalg.norm(np.ldexp(a, -e), axis=0)))
+        if e + int(np.frexp(cmax)[1]) > 1024:
+            raise ValueError("input matrix has a column norm beyond the double range")
+    np.ldexp(a, -e, out=a)
+    return e
+
+
+def _scale_r_back(a: np.ndarray, steps: int, e: int) -> None:
+    """Undo `_scale_into_range` on R's rows and on the unfactored block."""
+    if e == 0:
+        return
+    for j in range(a.shape[1]):
+        top = a[: min(j + 1, steps), j]
+        np.ldexp(top, e, out=top)
+    np.ldexp(a[steps:, steps:], e, out=a[steps:, steps:])
+
+
 def frobenius_norm(a) -> float:
     """||a||_F at any finite scale.
 
@@ -60,16 +109,18 @@ def frobenius_norm(a) -> float:
 
 
 def apply_pivot_trail(a: np.ndarray, trail, inverse: bool = False) -> np.ndarray:
-    """Apply (or undo) a swap trail to the columns of `a`, in place."""
-    trail = np.asarray(trail, dtype=np.int64)
-    n = a.shape[1]
-    steps = range(len(trail) - 1, -1, -1) if inverse else range(len(trail))
-    for i in steps:
-        j = int(trail[i])
-        if j < i or j >= n:
-            raise IndexError(f"trail[{i}] = {j} out of range [{i}, {n})")
-        if j != i:
-            a[:, [i, j]] = a[:, [j, i]]
+    """Apply (or undo) a swap trail along the last axis of `a`, in place.
+
+    The whole trail is checked before anything moves, so a bad entry
+    leaves `a` untouched; then the entries the trail moves are gathered
+    in one assignment.  Matrix columns and 1-D index vectors both work.
+    """
+    p = trail_to_permutation(trail, a.shape[-1])
+    moved = np.flatnonzero(p != np.arange(len(p)))
+    if inverse:
+        a[..., p[moved]] = a[..., moved]
+    else:
+        a[..., moved] = a[..., p[moved]]
     return a
 
 

@@ -27,7 +27,14 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import qr
 
-from .core import FlopCounter, check_finite, matmul, solve_upper, trail_to_permutation
+from .core import (
+    FlopCounter,
+    _scale_into_range,
+    _scale_r_back,
+    matmul,
+    solve_upper,
+    trail_to_permutation,
+)
 
 
 class Reflector(NamedTuple):
@@ -150,9 +157,14 @@ def hqr_unb_formT(panel: np.ndarray, t: np.ndarray | None = None):
 
 
 def hqr_unb(a: np.ndarray, fc: FlopCounter | None = None) -> QRFactors:
-    """Unblocked HQR of any shape by LAPACK dgeqrf, in place, with one T block."""
-    check_finite(a, "input matrix")
+    """Unblocked HQR of any shape by LAPACK dgeqrf, in place, with one T block.
+
+    An input outside the safe scale window is factored scaled by a power
+    of two (``core._scale_into_range``).
+    """
+    e = _scale_into_range(a)
     taus, _ = _lapack_qr(a)
+    _scale_r_back(a, len(taus), e)
     return QRFactors(a, [0], [_form_t(a, taus)], taus)
 
 
@@ -178,10 +190,14 @@ def apply_block_qt(
 
 
 def hqr_blk(a: np.ndarray, b: int, fc: FlopCounter | None = None) -> QRFactors:
-    """Blocked HQR via the accumulated-reflector trailing update."""
-    check_finite(a, "input matrix")
+    """Blocked HQR via the accumulated-reflector trailing update.
+
+    An input outside the safe scale window is factored scaled by a power
+    of two (``core._scale_into_range``).
+    """
     if b < 1:
         raise ValueError("block size must be >= 1")
+    e = _scale_into_range(a)
     m, n = a.shape
     r = min(m, n)
     starts, blocks, taus = [], [], []
@@ -192,6 +208,7 @@ def hqr_blk(a: np.ndarray, b: int, fc: FlopCounter | None = None) -> QRFactors:
         starts.append(j)
         blocks.append(t)
         taus.append(panel_taus)
+    _scale_r_back(a, r, e)
     return QRFactors(a, starts, blocks, np.concatenate(taus) if taus else np.empty(0))
 
 

@@ -7,11 +7,14 @@ Matrix Market files use the dense ``array`` layout::
     <m*n values, one per line, column-major>
 
 The raw binary format is two little-endian uint64 words (rows, cols)
-followed by the column-major float64 payload, also little-endian.
+followed by the column-major float64 payload, also little-endian; a file
+of any other size than that header asks for is rejected before reading.
 Readers validate that every entry is finite.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -71,9 +74,13 @@ def read_raw(path) -> np.ndarray:
         if len(dims) != 2:
             raise ValueError(f"{path}: truncated raw matrix header")
         m, n = int(dims[0]), int(dims[1])
+        size = os.fstat(fh.fileno()).st_size
+        if size != 16 + 8 * m * n:
+            raise ValueError(
+                f"{path}: header says {m} x {n}, which needs {16 + 8 * m * n} "
+                f"bytes, but the file has {size}"
+            )
         data = np.fromfile(fh, dtype="<f8", count=m * n)
-    if len(data) != m * n:
-        raise ValueError(f"{path}: raw payload has {len(data)} of {m * n} values")
     a = data.astype(np.float64).reshape((m, n), order="F")
     return check_finite(a, f"{path}")
 

@@ -8,11 +8,9 @@ across steps by subtracting the squares of the freshly computed R row,
 recomputes a weight exactly once it has decayed below 1e-8 of its reference
 value, where cancellation would otherwise corrupt the pivot order, and then
 makes the recomputed weight the new reference, as LAPACK's xLAQP2 does.
-Squared norms overflow or underflow long before the entries do, so
-``hqrp_unb`` and ``hqrp_blk`` first scale an input whose largest entry
-lies outside [2^-250, 2^250] by the power of two that brings it into
-[1/2, 1), which is exact, and scale R back at the end; reflectors, tau
-and T do not depend on the scale.
+Squared norms overflow or underflow long before the entries do; like
+every driver, ``hqrp_unb`` and ``hqrp_blk`` factor an input outside the
+safe scale window scaled by a power of two (``core._scale_into_range``).
 
 Three factorization drivers live here:
 
@@ -32,7 +30,14 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import lapack
 
-from .core import EPS, FlopCounter, _prefix_trail, check_finite, matmul
+from .core import (
+    EPS,
+    FlopCounter,
+    _prefix_trail,
+    _scale_into_range,
+    _scale_r_back,
+    matmul,
+)
 from .householder import QRFactors, _form_t, housev
 
 
@@ -72,35 +77,6 @@ class WeightVector:
             drifted = np.nonzero(tail < self.RECOMPUTE_FRACTION * ref)[0]
             for j in drifted:
                 tail[j] = ref[j] = recompute(start + int(j))
-
-
-# Largest entries within 2^-250..2^250 keep every weight far from both ends
-# of the double range.
-_SAFE_EXPONENT = 250
-
-
-def _scale_into_range(a: np.ndarray) -> int:
-    """Scale `a` in place by 2^-e so its largest |entry| lies in [1/2, 1).
-
-    Returns e, or 0 without touching `a` when that entry is zero or
-    already lies within 2^-_SAFE_EXPONENT..2^_SAFE_EXPONENT.
-    """
-    amax = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
-    e = int(np.frexp(amax)[1])
-    if amax == 0.0 or abs(e) <= _SAFE_EXPONENT:
-        return 0
-    np.ldexp(a, -e, out=a)
-    return e
-
-
-def _scale_r_back(a: np.ndarray, steps: int, e: int) -> None:
-    """Undo `_scale_into_range` on R's rows and on the unfactored block."""
-    if e == 0:
-        return
-    for j in range(a.shape[1]):
-        top = a[: min(j + 1, steps), j]
-        np.ldexp(top, e, out=top)
-    np.ldexp(a[steps:, steps:], e, out=a[steps:, steps:])
 
 
 def compute_weights(a: np.ndarray) -> WeightVector:
@@ -222,11 +198,10 @@ def hqrp_unb(
     An input outside the safe scale window is factored scaled by a power
     of two (module docstring), and `step_hook` sees it scaled.
     """
-    check_finite(a, "input matrix")
+    e = _scale_into_range(a)
     m, n = a.shape
     r = min(m, n) if steps is None else min(steps, m, n)
     t = np.zeros((r, r))
-    e = _scale_into_range(a)
     weights = compute_weights(a)
     taus, trail = _var1_engine(a, 0, 0, n, r, t, weights, fc, step_hook)
     _scale_r_back(a, r, e)
@@ -316,12 +291,11 @@ def hqrp_blk(a: np.ndarray, b: int, fc: FlopCounter | None = None) -> QRFactors:
     outside the safe scale window is factored scaled by a power of two
     (module docstring).
     """
-    check_finite(a, "input matrix")
     if b < 1:
         raise ValueError("block size must be >= 1")
+    e = _scale_into_range(a)
     m, n = a.shape
     r = min(m, n)
-    e = _scale_into_range(a)
     weights = compute_weights(a)
     starts, blocks, taus_parts, trail_parts = [], [], [], []
     for j in range(0, r, b):
@@ -329,12 +303,9 @@ def hqrp_blk(a: np.ndarray, b: int, fc: FlopCounter | None = None) -> QRFactors:
         win = n - j
         t = np.zeros((bw, bw))
         w_mat = np.zeros((bw, win), order="F")
-        local_weights = WeightVector(weights.v[j:])
-        local_weights.v_orig = weights.v_orig[j:].copy()
-        taus, trail = hqrp_panel_var3(a, j, j, win, bw, t, w_mat, local_weights, fc)
+        taus, trail = hqrp_panel_var3(a, j, j, win, bw, t, w_mat, weights, fc)
         a[j + bw :, j + bw :] -= matmul(a[j + bw :, j : j + bw], w_mat[:bw, bw:], fc)
-        weights.v[j:] = local_weights.v
-        weights.v_orig[j:] = local_weights.v_orig
+        weights.v, weights.v_orig = weights.v[bw:], weights.v_orig[bw:]
         starts.append(j)
         blocks.append(t)
         taus_parts.append(taus)

@@ -152,12 +152,16 @@ def factorization_errors(a_orig: np.ndarray, f: QRFactors) -> tuple[float, float
     """(relative reconstruction error, orthogonality error), one Q formation.
 
     Reconstruction is ||Q R - A P||_F / ||A||_F; orthogonality is
-    ||Q^T Q - I||_F for the thin Q.
+    ||Q^T Q - I||_F for the thin Q.  Both norms of the ratio are taken
+    after dividing by the power of two at A's largest |entry|, which is
+    exact and keeps ||A||_F finite up to the top of the double range.
     """
     perm = trail_to_permutation(f.trail, f.n)
     q = form_q(f, f.r)
     resid = q @ f.r_matrix() - a_orig[:, perm]
-    denom = frobenius_norm(a_orig)
+    e = int(np.frexp(np.max(np.abs(a_orig), initial=0.0))[1])
+    denom = frobenius_norm(np.ldexp(a_orig, -e))
+    np.ldexp(resid, -e, out=resid)
     recon = frobenius_norm(resid) / denom if denom > 0 else frobenius_norm(resid)
     orth = frobenius_norm(q.T @ q - np.eye(f.r))
     return recon, orth

@@ -3,10 +3,12 @@
 Pivot blocks are chosen on a small sketch Y = G A, where G is Gaussian
 with b + p rows (p is the oversampling margin, default 5): the first b
 pivots of classical column-pivoted QR of Y (LAPACK dgeqp3, through
-``pivoting.mgsp``) pick the columns, the panel is then factored with
-locally pivoted Householder QR (LAPACK dgeqp3, its reflectors mapped onto
-the ``housev`` convention and T formed from the finished panel), and the
-trailing matrix gets one accumulated-reflector update per panel.
+``pivoting.mgsp``) pick the columns, and A, Y and the column permutation
+take those pivots through one ``core.apply_pivot_trail`` call each.  The
+panel is then factored with locally pivoted Householder QR (LAPACK
+dgeqp3, its reflectors mapped onto the ``housev`` convention and T formed
+from the finished panel), and the trailing matrix gets one
+accumulated-reflector update per panel.
 
 Both modes build their sketch with ``build_sketch``; they differ in how
 it is refreshed between panels:
@@ -35,7 +37,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import FlopCounter, check_finite, matmul, permutation_to_trail
+from .core import (
+    FlopCounter,
+    _scale_into_range,
+    _scale_r_back,
+    apply_pivot_trail,
+    matmul,
+    permutation_to_trail,
+)
 from .householder import QRFactors, _form_t, _lapack_qr, apply_block_qt
 from .pivoting import mgsp
 from .rng import Xoshiro256pp, gaussian_matrix
@@ -108,6 +117,8 @@ def downdate_sketch(
     `iter_swaps` needs only the swaps that move columns into or out of the
     panel; swaps inside the finished panel may be left out, since Y's
     panel columns are never read once `col_offset` moves past them.
+    `hqrrp_blk` passes no swaps: it permutes Y together with A, so Y
+    already follows A's column order.
     """
     bw = t11.shape[0]
     if bw == 0:
@@ -144,13 +155,15 @@ def hqrrp_blk(
 
     `loop_hook(state)` is called at every loop head with the current
     col_offset, sketch arrays, packed matrix, panels, and permutation;
-    it exists so invariants can be checked mid-flight.
+    it exists so invariants can be checked mid-flight.  An input outside
+    the safe scale window is factored scaled by a power of two
+    (``core._scale_into_range``), and `loop_hook` sees it scaled.
     """
-    check_finite(a, "input matrix")
     if mode not in ("basic", "downdate"):
         raise ValueError(f"unknown mode {mode!r}")
     if b < 1 or p < 0:
         raise ValueError("need block size >= 1 and oversampling >= 0")
+    e = _scale_into_range(a)
     m, n = a.shape
     r = min(m, n)
     perm = np.arange(n, dtype=np.int64)
@@ -175,11 +188,9 @@ def hqrrp_blk(
                 )
             )
         sel = select_block_pivots(y_trail, bw)
-        iter_swaps = [(j + i, j + int(s)) for i, s in enumerate(sel)]
-        for pi, pj in iter_swaps:
-            if pi != pj:
-                a[:, [pi, pj]] = a[:, [pj, pi]]
-                perm[[pi, pj]] = perm[[pj, pi]]
+        apply_pivot_trail(a[:, j:], sel)
+        apply_pivot_trail(perm[j:], sel)
+        apply_pivot_trail(y_trail, sel)
         panel = a[j:, j : j + bw]
         taus, order = _lapack_qr(panel, pivoting=True)
         a[:j, j : j + bw] = a[:j, j + order]
@@ -187,11 +198,12 @@ def hqrrp_blk(
         t = _form_t(panel, taus)
         apply_block_qt(panel, t, a[j:, j + bw :], fc)
         if mode == "downdate":
-            downdate_sketch(sk, panel, t, a[j : j + bw, j + bw :], iter_swaps, fc)
+            downdate_sketch(sk, panel, t, a[j : j + bw, j + bw :], (), fc)
         starts.append(j)
         blocks.append(t)
         taus_parts.append(taus)
         j += bw
+    _scale_r_back(a, r, e)
     # The net permutation mixes sketch swaps with panel gathers, so the trail
     # is its canonical decomposition (full length: displaced columns shuffle
     # the tail region too).

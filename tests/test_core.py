@@ -73,6 +73,24 @@ def test_out_of_range_trail_errors():
         apply_pivot_trail(a, [0, 0])  # swap target below the step index
 
 
+def test_bad_trail_leaves_matrix_untouched():
+    # the whole trail is checked before any column moves
+    a = gauss(6, 3, 3)
+    b = a.copy()
+    with pytest.raises(IndexError, match=r"trail\[1\] = 0 out of range \[1, 3\)"):
+        apply_pivot_trail(b, [2, 0])
+    assert np.array_equal(a, b)
+
+
+def test_trail_applies_to_index_vector():
+    trail = np.array([5, 3, 2, 6, 5])
+    v = np.arange(7)
+    apply_pivot_trail(v, trail)
+    assert np.array_equal(v, trail_to_permutation(trail, 7))
+    apply_pivot_trail(v, trail, inverse=True)
+    assert np.array_equal(v, np.arange(7))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.permutations(list(range(8))))
 def test_permutation_trail_roundtrip(perm):

@@ -36,18 +36,23 @@ def test_tiny_shapes_stay_valid(m, n, name, run):
     assert recon < 1e-13 and orth < 1e-13
 
 
+GEN_DRIVERS = [
+    ("hqr", lambda x, gen: hqr_unb(x)),
+    ("hqr-blk", lambda x, gen: hqr_blk(x, 2)),
+    ("hqrp", lambda x, gen: hqrp_blk(x, 2)),
+    ("hqrp-unb", lambda x, gen: hqrp_unb(x)),
+    ("hqrrp", lambda x, gen: hqrrp_blk(x, 2, gen, p=1)),
+    ("hqrrp-basic", lambda x, gen: hqrrp_blk(x, 2, gen, p=0, mode="basic")),
+]
+
+
+def _gaussian_40():
+    """40 x 40 Gaussian whose largest column norm is 0.98 * 2^3."""
+    return np.asfortranarray(np.random.default_rng(1).standard_normal((40, 40)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize(
-    "name,run",
-    [
-        ("hqr", lambda x, gen: hqr_unb(x)),
-        ("hqr-blk", lambda x, gen: hqr_blk(x, 2)),
-        ("hqrp", lambda x, gen: hqrp_blk(x, 2)),
-        ("hqrp-unb", lambda x, gen: hqrp_unb(x)),
-        ("hqrrp", lambda x, gen: hqrrp_blk(x, 2, gen, p=1)),
-        ("hqrrp-basic", lambda x, gen: hqrrp_blk(x, 2, gen, p=0, mode="basic")),
-    ],
-)
+@pytest.mark.parametrize("name,run", GEN_DRIVERS)
 def test_non_finite_input_rejected_before_any_draw(name, run, bad):
     a = gaussian_matrix(Xoshiro256pp(3), 5, 4)
     a[2, 1] = bad
@@ -56,6 +61,18 @@ def test_non_finite_input_rejected_before_any_draw(name, run, bad):
     with pytest.raises(ValueError, match="NaN or Inf"):
         run(a, gen)
     assert np.array_equal(a, before, equal_nan=True)
+    assert np.array_equal(gen.raw(4), Xoshiro256pp(1).raw(4))
+
+
+@pytest.mark.parametrize("name,run", GEN_DRIVERS)
+def test_column_norm_overflow_rejected_before_any_draw(name, run):
+    # every entry is finite, but the largest column norm is 0.98 * 2^1025
+    a = np.ldexp(_gaussian_40(), 1022)
+    before = a.copy()
+    gen = Xoshiro256pp(1)
+    with pytest.raises(ValueError, match="column norm"):
+        run(a, gen)
+    assert np.array_equal(a, before)
     assert np.array_equal(gen.raw(4), Xoshiro256pp(1).raw(4))
 
 
@@ -93,8 +110,8 @@ def test_single_row_pivoting_orders_by_magnitude():
 @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
 def test_power_of_two_scaling_scales_r_exactly(k):
     # scaling by s = 2^k is exact, so pivots and |r_kk| / s must not move
-    # anywhere in the double range; hqrp_blk and hqrp_unb are held to this
-    # in the next test
+    # anywhere in the double range; the next test holds every driver to
+    # exactly s * R
     a, _ = gen_fast_decay(128, Xoshiro256pp(17))
     s = 2.0**k
     runs = [
@@ -112,16 +129,26 @@ def test_power_of_two_scaling_scales_r_exactly(k):
         assert err <= 1e-14, (name, err)
 
 
-@pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+@pytest.mark.parametrize("k", [-1000, -500, 500, 1000, 1021])
 def test_power_of_two_scaling_of_classical_pivoting_is_exact(k):
-    # the squared-norm weights would overflow or underflow at these scales;
-    # the drivers rescale the input by a power of two, so the trail, the
-    # reflectors and tau are the unscaled ones and R is exactly 2^k R
-    a, _ = gen_fast_decay(128, Xoshiro256pp(17))
-    for name, run in [("hqrp-blk", lambda x: hqrp_blk(x, 16)), ("hqrp-unb", hqrp_unb)]:
-        ref = run(a.copy(order="F"))
-        f = run(np.asfortranarray(np.ldexp(a, k)))
-        assert np.array_equal(f.trail, ref.trail), name
-        assert np.array_equal(f.r_matrix(), np.ldexp(ref.r_matrix(), k)), name
-        assert np.array_equal(np.tril(f.packed, -1), np.tril(ref.packed, -1)), name
-        assert np.array_equal(f.taus, ref.taus), name
+    # squared-norm weights, sketches and trailing updates would overflow or
+    # underflow at these scales; every driver rescales the input by a power
+    # of two, so the trail, the reflectors and tau are the unscaled ones and
+    # R is exactly 2^k R.  At k = 1021 the Gaussian's largest column norm is
+    # 0.98 * 2^1024, just inside the double range.
+    runs = [
+        ("hqr", hqr_unb),
+        ("hqr-blk", lambda x: hqr_blk(x, 16)),
+        ("hqrp-blk", lambda x: hqrp_blk(x, 16)),
+        ("hqrp-unb", hqrp_unb),
+        ("hqrrp", lambda x: hqrrp_blk(x, 16, Xoshiro256pp(5), p=5)),
+        ("hqrrp-basic", lambda x: hqrrp_blk(x, 16, Xoshiro256pp(5), p=5, mode="basic")),
+    ]
+    for a in (gen_fast_decay(128, Xoshiro256pp(17))[0], _gaussian_40()):
+        for name, run in runs:
+            ref = run(a.copy(order="F"))
+            f = run(np.asfortranarray(np.ldexp(a, k)))
+            assert np.array_equal(f.trail, ref.trail), name
+            assert np.array_equal(f.r_matrix(), np.ldexp(ref.r_matrix(), k)), name
+            assert np.array_equal(np.tril(f.packed, -1), np.tril(ref.packed, -1)), name
+            assert np.array_equal(f.taus, ref.taus), name

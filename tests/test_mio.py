@@ -110,3 +110,25 @@ def test_factor_exits_1_on_file_ending_before_size_line(tmp_path, capsys):
     argv = ["factor", "--algo", "hqr", "--in", str(path), "-o", str(tmp_path / "f")]
     assert rrqr.cli.main(argv) == 1
     assert "short.mtx" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "dims,payload",
+    [((2**20, 2**20), 32), ((2**40, 2**40), 32), ((2, 2), 40)],
+    ids=["huge", "overflow", "extra-values"],
+)
+def test_raw_size_must_match_header(tmp_path, dims, payload):
+    # checked against the file size before anything is allocated or read
+    path = tmp_path / "bad.bin"
+    path.write_bytes(np.array(dims, dtype="<u8").tobytes() + bytes(payload))
+    with pytest.raises(ValueError, match="bad.bin"):
+        read_raw(path)
+
+
+def test_factor_exits_1_on_raw_size_mismatch(tmp_path, capsys):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(np.array([2**20, 2**20], dtype="<u8").tobytes() + bytes(32))
+    argv = ["factor", "--algo", "hqr", "--in", str(path), "-o", str(tmp_path / "f")]
+    assert rrqr.cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad.bin" in err

@@ -16,6 +16,7 @@ from rrqr import (
     gen_fast_decay,
     gen_s_shape,
     hqr_blk,
+    hqr_unb,
     hqrp_blk,
     hqrrp_blk,
     jacobi_svd_values,
@@ -163,3 +164,12 @@ def test_norms_and_errors_scale_with_the_input(k):
         assert e_scaled == pytest.approx(s * e_frob, rel=1e-14, abs=0.0), name
         recon, orth = factorization_errors(s * a, f)
         assert recon <= 50 * 128 * EPS and orth <= 50 * 128 * EPS, name
+
+
+def test_relative_error_near_overflow_is_positive():
+    # ||A||_F overflows at this scale, so the ratio must not read 0
+    a = np.ldexp(np.random.default_rng(1).standard_normal((40, 40)), 1020)
+    runs = {"hqr": hqr_unb, "hqrp": lambda x: hqrp_blk(x, 16), **SCALED_FACTORIZATIONS}
+    for name, factor in runs.items():
+        recon, _ = factorization_errors(a, factor(a.copy(order="F")))
+        assert 0.0 < recon <= 50 * 40 * EPS, name
