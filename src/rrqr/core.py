@@ -84,7 +84,7 @@ def frobenius_norm(a) -> float:
     ``np.linalg.norm`` sums squared entries, which overflow above about
     1e154 and underflow below about 1e-154; its result is kept only where
     it lies well inside the double range.  Otherwise `a` is first divided
-    by the power of two at its largest absolute entry, which is exact.
+    by the power of two at its largest |entry| and the norm scaled back, both exact.
     """
     with np.errstate(over="ignore"):
         nrm = float(np.linalg.norm(a))
@@ -93,8 +93,9 @@ def frobenius_norm(a) -> float:
     amax = float(np.max(np.abs(a), initial=0.0))
     if not 0.0 < amax < np.inf:
         return amax  # zero, Inf or NaN: the norm is that too
-    scale = np.ldexp(1.0, np.frexp(amax)[1])
-    return scale * float(np.linalg.norm(np.asarray(a) / scale))
+    e = int(np.frexp(amax)[1])
+    with np.errstate(over="ignore"):  # inf only beyond the double range
+        return float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e))
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,12 @@ def read_matrix_market(path) -> np.ndarray:
             line = fh.readline()
         if not line:
             raise ValueError(f"{path}: file ends before the size line")
-        m, n = (int(tok) for tok in line.split())
-        data = np.loadtxt(fh, dtype=np.float64, ndmin=1)
+        toks = line.split()
+        if len(toks) != 2 or not all(t.isascii() and t.isdigit() for t in toks):
+            raise ValueError(f"{path}: size line {line.strip()!r} is not two integers >= 0")
+        m, n = int(toks[0]), int(toks[1])
+        # with no values to read, loadtxt would warn; count what is left instead
+        data = np.loadtxt(fh, ndmin=1) if m * n else np.empty(len(fh.read().split()))
     if data.size != m * n:
         raise ValueError(f"{path}: expected {m * n} values, found {data.size}")
     a = data.reshape((m, n), order="F")

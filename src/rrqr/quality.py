@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import svdvals
 
-from .core import frobenius_norm, trail_to_permutation
+from .core import _scale_into_range, frobenius_norm, trail_to_permutation
 from .householder import QRFactors, form_q
 from .rng import Xoshiro256pp
 
@@ -44,39 +44,34 @@ def spectral_norm_est(
 ) -> float:
     """Largest singular value by seeded block power iteration.
 
-    A small block (default 4) is iterated on B^T B, Gram-Schmidt
-    orthonormalized each round, and the estimate taken as the top
-    singular value of B X (a Ritz value), which stays tight even when
-    the spectrum is clustered at the top.  Stops after `iters` rounds or
-    when the estimate moves by less than `tol` relatively.  The defaults
-    keep the one-sided estimation error well below the 1e-8 slack that
-    the singular-value floor checks allow, which matters wherever the
+    Works on a float64 copy scaled by the drivers' prologue, so any finite
+    scale gets an estimate and NaN or Inf raises ValueError.  A block of
+    `block` vectors is iterated on B^T B, orthonormalized by a thin QR each
+    round; the estimate is the top singular value of B X (a Ritz value),
+    tight even when the top of the spectrum is clustered.  Stops after
+    `iters` rounds or when the estimate moves by less than `tol`
+    relatively.  The defaults keep the one-sided error well below the 1e-8
+    slack of the singular-value floor checks, which matters wherever the
     floor is attained exactly (k = 0 always is).
     """
-    rows, cols = b_mat.shape
-    if rows == 0 or cols == 0:
+    b = np.array(b_mat, dtype=np.float64)
+    e = _scale_into_range(b)
+    if not b.any():  # empty or zero
         return 0.0
-    if np.max(np.abs(b_mat)) == 0.0:
-        return 0.0
-    block = min(block, cols)
+    block = min(block, b.shape[1])
     rng = Xoshiro256pp(seed)
-    x = rng.normals(cols * block).reshape((cols, block), order="F")
+    x = rng.normals(b.shape[1] * block).reshape((-1, block), order="F")
     est = 0.0
     for _ in range(iters):
-        for c in range(block):
-            for prev in range(c):
-                x[:, c] -= (x[:, prev] @ x[:, c]) * x[:, prev]
-            nrm = np.linalg.norm(x[:, c])
-            if nrm > 0:
-                x[:, c] /= nrm
-        bx = b_mat @ x
+        x = np.linalg.qr(x)[0]
+        bx = b @ x
         new_est = float(svdvals(bx, check_finite=False)[0])
-        x = b_mat.T @ bx
+        x = b.T @ bx
         if est > 0 and abs(new_est - est) <= tol * new_est:
             est = new_est
             break
         est = new_est
-    return est
+    return float(np.ldexp(est, e))
 
 
 def _spectral_norm(b_mat: np.ndarray) -> float:
@@ -94,16 +89,15 @@ def _spectral_norm(b_mat: np.ndarray) -> float:
 def eckart_young_bounds(sigmas: np.ndarray, ks) -> tuple[np.ndarray, np.ndarray]:
     """(Frobenius, spectral) lower bounds for each truncation rank in `ks`.
 
-    The tail sums of squares are taken on sigmas divided by the power of
-    two at their norm, which is exact and keeps them from overflowing or
-    underflowing at any finite scale.
+    The Frobenius floor of rank k is ``frobenius_norm(sigmas[k:])``, the
+    same scale-safe norm as the error it bounds, and the spectral floor is
+    sigmas[k]; both are 0 past the end.  Negative ranks raise ValueError.
     """
     sigmas = np.asarray(sigmas, dtype=np.float64)
-    scale = np.ldexp(1.0, np.frexp(frobenius_norm(sigmas))[1])
-    tail2 = np.concatenate([np.cumsum(((sigmas / scale) ** 2)[::-1])[::-1], [0.0]])
-    bound_frob = np.array([scale * np.sqrt(tail2[min(k, len(sigmas))]) for k in ks])
-    padded = np.concatenate([sigmas, [0.0]])
-    bound_spec = np.array([padded[min(k, len(sigmas))] for k in ks])
+    if min(ks, default=0) < 0:
+        raise ValueError("truncation ranks must be >= 0")
+    bound_frob = np.array([frobenius_norm(sigmas[k:]) for k in ks])
+    bound_spec = np.array([sigmas[k] if k < len(sigmas) else 0.0 for k in ks])
     return bound_frob, bound_spec
 
 

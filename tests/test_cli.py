@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line harness and its file contracts."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,25 @@ def test_quality_spectral_floors_of_input_file_from_svdvals(tmp_path):
         tail = sv[k:]
         assert float(r[4]) == pytest.approx(np.sqrt(np.sum(tail**2)), rel=1e-12, abs=0.0)
         assert float(r[5]) == pytest.approx(tail[0] if k < len(sv) else 0.0, rel=1e-12, abs=0.0)
+
+
+def test_quality_spectral_floors_near_overflow(tmp_path, capsys):
+    # sum(sigma_j^2) overflows here; the floors must stay quiet, and finite
+    # from k = 24 on, where the true ones are (below that, both are > 2^1024)
+    src = tmp_path / "big.mtx"
+    write_matrix_market(src, np.ldexp(np.random.default_rng(1).standard_normal((40, 40)), 1020))
+    prefix = str(tmp_path / "q")
+    argv = ["quality", "--algo", "hqrp", "--algo", "hqrrp", "--in", str(src), "--spectral"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv + ["--b", "8", "-o", prefix]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    rows = read_csv(prefix + ".quality.csv")[1:]
+    assert len(rows) == 2 * 6
+    for algo, k, ef, es, bf, bs in rows:
+        if int(k) >= 24:
+            assert np.isfinite(float(bf)) and float(ef) >= float(bf) * (1 - 1e-8), (algo, k)
 
 
 def test_bench_csv(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,23 @@ def test_frobenius_zero():
 
 def test_frobenius_345_column():
     assert frobenius_norm(np.array([[3.0, 0.0], [4.0, 0.0]])) == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize(
+    "x,want",
+    [
+        ([2.0**1023], 2.0**1023),
+        ([1.5 * 2.0**1023, 2.0**1022], np.ldexp(np.sqrt(10.0), 1022)),
+        ([1.5 * 2.0**1023, 1.5 * 2.0**1023], np.inf),  # beyond the double range
+    ],
+    ids=["max-power", "two-entries", "overflow"],
+)
+def test_frobenius_at_the_top_of_the_double_range(x, want):
+    # the scale-back must not form 2^1024 on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nrm = frobenius_norm(np.array(x))
+    assert nrm == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_identity_trail_is_noop():

@@ -14,6 +14,7 @@ from rrqr import (
     hqrp_unb,
     hqrrp_blk,
     mgsp,
+    spectral_norm_est,
     trail_to_permutation,
     truncation_errors,
 )
@@ -43,6 +44,8 @@ GEN_DRIVERS = [
     ("hqrp-unb", lambda x, gen: hqrp_unb(x)),
     ("hqrrp", lambda x, gen: hqrrp_blk(x, 2, gen, p=1)),
     ("hqrrp-basic", lambda x, gen: hqrrp_blk(x, 2, gen, p=0, mode="basic")),
+    # not a driver, but it checks and scales its input with the same prologue
+    ("spectral-norm-est", lambda x, gen: spectral_norm_est(x)),
 ]
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,43 @@ def test_factor_exits_1_on_file_ending_before_size_line(tmp_path, capsys):
     argv = ["factor", "--algo", "hqr", "--in", str(path), "-o", str(tmp_path / "f")]
     assert rrqr.cli.main(argv) == 1
     assert "short.mtx" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "size", ["-1 -1", "2 2 4", "2 -3", "2 x", "3", "2.0 2"],
+    ids=["negative", "three-fields", "negative-no-values", "not-a-number", "one-field", "float"],
+)
+def test_bad_size_line_rejected(tmp_path, size):
+    path = tmp_path / "bad.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real general\n{size}\n1.0\n2.0\n3.0\n4.0\n")
+    with pytest.raises(ValueError, match="bad.mtx"):
+        read_matrix_market(path)
+
+
+@pytest.mark.parametrize("size", ["0 0", "0 3", "3 0"])
+def test_empty_matrix_reads_without_warning(tmp_path, size):
+    path = tmp_path / "empty.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real general\n{size}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = read_matrix_market(path)
+    assert a.shape == tuple(int(t) for t in size.split())
+
+
+def test_empty_matrix_with_values_rejected(tmp_path):
+    path = tmp_path / "empty.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n0 3\n1.0\n")
+    with pytest.raises(ValueError, match="expected 0 values, found 1"):
+        read_matrix_market(path)
+
+
+def test_factor_exits_1_on_bad_size_line(tmp_path, capsys):
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n2 2 4\n1\n2\n3\n4\n")
+    argv = ["factor", "--algo", "hqr", "--in", str(path), "-o", str(tmp_path / "f")]
+    assert rrqr.cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad.mtx" in err
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
 import rrqr.cli
 import rrqr.quality
@@ -108,11 +109,30 @@ def test_spectral_norm_est_degenerate():
     assert spectral_norm_est(np.zeros((0, 3))) == 0.0
 
 
+@pytest.mark.parametrize("k,s", [(-700, 1e-200), (700, 1e200)])
+def test_spectral_norm_est_scales_with_the_input(k, s):
+    # B^T B X overflows or underflows at these scales; the estimate must not
+    a = gauss(9, 40, 25)
+    b = np.ldexp(a, k)
+    want = np.ldexp(spectral_norm_est(a), k)
+    assert spectral_norm_est(b) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert np.array_equal(b, np.ldexp(a, k))  # the caller's matrix is untouched
+    est = spectral_norm_est(np.diag([3.0, 2.0, 1.0]) * s)
+    assert est == pytest.approx(3.0 * s, rel=1e-12, abs=0.0)
+
+
 def test_eckart_young_bound_values():
     sig = np.array([4.0, 2.0, 1.0])
     bf, bs = eckart_young_bounds(sig, [0, 1, 2, 3])
     assert bs.tolist() == [4.0, 2.0, 1.0, 0.0]
     assert bf == pytest.approx([np.sqrt(21.0), np.sqrt(5.0), 1.0, 0.0])
+
+
+def test_eckart_young_rejects_negative_ranks():
+    with pytest.raises(ValueError):
+        eckart_young_bounds([3.0, 2.0, 1.0], [-1])
+    with pytest.raises(ValueError):
+        eckart_young_bounds([3.0, 2.0, 1.0], np.array([0, 2, -3]))
 
 
 @pytest.mark.parametrize("gen", [gen_fast_decay, gen_s_shape])
@@ -173,3 +193,15 @@ def test_relative_error_near_overflow_is_positive():
     for name, factor in runs.items():
         recon, _ = factorization_errors(a, factor(a.copy(order="F")))
         assert 0.0 < recon <= 50 * 40 * EPS, name
+
+
+def test_floors_near_overflow_are_finite():
+    # the tail sums of squares overflow at this scale; the floors must not
+    a = np.random.default_rng(1).standard_normal((40, 40))
+    sig = np.ldexp(svdvals(a), 1020)
+    ks = [24, 32]
+    bf, bs = eckart_young_bounds(sig, ks)
+    ref_f, ref_s = eckart_young_bounds(np.ldexp(sig, -1020), ks)
+    assert np.all(np.isfinite(bf))
+    assert bf == pytest.approx(np.ldexp(ref_f, 1020), rel=1e-14, abs=0.0)
+    assert np.array_equal(bs, np.ldexp(ref_s, 1020))
