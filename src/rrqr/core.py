@@ -9,6 +9,8 @@ in place, so callers keep a copy when they need the original.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 from scipy.linalg import solve_triangular
 
@@ -30,27 +32,53 @@ def check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Driver prologue and epilogue
+# Driver prologue
 #
-# Squared column norms, sketches Y = G A and trailing updates overflow or
-# underflow long before the entries do, so every factorization driver
-# factors an input whose largest |entry| lies outside 2^-250..2^250 scaled
-# by the power of two that brings it into [1/2, 1), which is exact, and
-# scales R back at the end.  Reflectors, tau and T do not depend on the
-# scale, and inputs inside the window keep their bits.
+# Every driver checks its whole input before it changes the matrix or draws
+# from its generator, and raises ValueError the same way for anything it
+# cannot factor: a matrix that is not 2-D float64, or holds NaN or Inf or a
+# column norm beyond the double range; a count or block size that is not a
+# non-negative integer.  Squared column norms, sketches Y = G A and
+# trailing updates overflow or underflow long before the entries do, so
+# a matrix whose largest |entry| lies outside 2^-250..2^250 is factored
+# scaled by the power of two that brings it into [1/2, 1), which is exact,
+# and ``householder._factors`` scales R back.  Reflectors, tau and T do not
+# depend on the scale, and inputs inside the window keep their bits.
 # ---------------------------------------------------------------------------
 
 _SAFE_EXPONENT = 250
 
 
+def _as_index(x, what: str) -> int:
+    """`x` as a non-negative int; ValueError for anything else."""
+    try:
+        i = operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+    if i < 0:
+        raise ValueError(f"{what} must be non-negative, got {i}")
+    return i
+
+
+def _check_block(b, p=0) -> tuple[int, int]:
+    """Block size b >= 1 and oversampling p >= 0 as Python ints."""
+    b, p = _as_index(b, "block size"), _as_index(p, "oversampling")
+    if b < 1:
+        raise ValueError("block size must be >= 1")
+    return b, p
+
+
 def _scale_into_range(a: np.ndarray) -> int:
     """Check a driver's input and scale it in place by 2^-e; returns e.
 
-    Raises ValueError, with `a` untouched, when `a` holds NaN or Inf or a
-    column whose 2-norm exceeds the double range.  Returns 0 without
-    touching `a` when its largest |entry| is zero or already lies within
-    2^-_SAFE_EXPONENT..2^_SAFE_EXPONENT.
+    Raises ValueError, with `a` untouched, when `a` is not a 2-D float64
+    array, or holds NaN or Inf or a column whose 2-norm exceeds the double
+    range.  Returns 0 without touching `a` when its largest |entry| is
+    zero or already lies within 2^-_SAFE_EXPONENT..2^_SAFE_EXPONENT.
     """
+    if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == np.float64):
+        got = f"{a.ndim}-D {a.dtype} array" if isinstance(a, np.ndarray) else type(a).__name__
+        raise ValueError(f"input must be a 2-D float64 array, got {got}")
     hi = float(a.max(initial=0.0))
     lo = float(a.min(initial=0.0))
     if not (np.isfinite(hi) and np.isfinite(lo)):  # max and min propagate NaN
@@ -66,16 +94,6 @@ def _scale_into_range(a: np.ndarray) -> int:
             raise ValueError("input matrix has a column norm beyond the double range")
     np.ldexp(a, -e, out=a)
     return e
-
-
-def _scale_r_back(a: np.ndarray, steps: int, e: int) -> None:
-    """Undo `_scale_into_range` on R's rows and on the unfactored block."""
-    if e == 0:
-        return
-    for j in range(a.shape[1]):
-        top = a[: min(j + 1, steps), j]
-        np.ldexp(top, e, out=top)
-    np.ldexp(a[steps:, steps:], e, out=a[steps:, steps:])
 
 
 def frobenius_norm(a) -> float:

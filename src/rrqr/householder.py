@@ -22,6 +22,7 @@ all run through that identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -29,8 +30,9 @@ from scipy.linalg import qr
 
 from .core import (
     FlopCounter,
+    _as_index,
+    _check_block,
     _scale_into_range,
-    _scale_r_back,
     matmul,
     solve_upper,
     trail_to_permutation,
@@ -116,6 +118,29 @@ def _form_t(panel: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return t
 
 
+def _factors(a: np.ndarray, e: int, t_blocks: list, trail=None) -> QRFactors:
+    """Driver epilogue: scale R back by 2^e and pack the factors.
+
+    `t_blocks` holds one T per panel, in column order.  The taus are read
+    off the T diagonals, where `_form_t` writes them exactly, and the panel
+    starts are the cumulative T widths.  `e` is the exponent returned by
+    ``core._scale_into_range``; R's rows and the unfactored block are
+    scaled back, the reflector tails are not.
+    """
+    widths = [t.shape[0] for t in t_blocks]
+    r = sum(widths)
+    if e != 0:
+        for j in range(a.shape[1]):
+            top = a[: min(j + 1, r), j]
+            np.ldexp(top, e, out=top)
+        np.ldexp(a[r:, r:], e, out=a[r:, r:])
+    starts = list(accumulate(widths, initial=0))[:-1]
+    taus = np.concatenate([np.diagonal(t) for t in t_blocks]) if t_blocks else np.empty(0)
+    if trail is None:
+        trail = np.empty(0, dtype=np.int64)
+    return QRFactors(a, starts, t_blocks, taus, trail)
+
+
 def _lapack_qr(x: np.ndarray, pivoting: bool = False):
     """Factor `x` in place by LAPACK dgeqrf (dgeqp3 with `pivoting`).
 
@@ -164,8 +189,7 @@ def hqr_unb(a: np.ndarray, fc: FlopCounter | None = None) -> QRFactors:
     """
     e = _scale_into_range(a)
     taus, _ = _lapack_qr(a)
-    _scale_r_back(a, len(taus), e)
-    return QRFactors(a, [0], [_form_t(a, taus)], taus)
+    return _factors(a, e, [_form_t(a, taus)])
 
 
 def apply_block_qt(
@@ -195,26 +219,22 @@ def hqr_blk(a: np.ndarray, b: int, fc: FlopCounter | None = None) -> QRFactors:
     An input outside the safe scale window is factored scaled by a power
     of two (``core._scale_into_range``).
     """
-    if b < 1:
-        raise ValueError("block size must be >= 1")
+    b, _ = _check_block(b)
     e = _scale_into_range(a)
-    m, n = a.shape
-    r = min(m, n)
-    starts, blocks, taus = [], [], []
+    r = min(a.shape)
+    blocks = []
     for j in range(0, r, b):
         bw = min(b, r - j)
-        t, panel_taus = hqr_unb_formT(a[j:, j : j + bw])
+        t, _ = hqr_unb_formT(a[j:, j : j + bw])
         apply_block_qt(a[j:, j : j + bw], t, a[j:, j + bw :], fc)
-        starts.append(j)
         blocks.append(t)
-        taus.append(panel_taus)
-    _scale_r_back(a, r, e)
-    return QRFactors(a, starts, blocks, np.concatenate(taus) if taus else np.empty(0))
+    return _factors(a, e, blocks)
 
 
 def form_q(f: QRFactors, k: int, fc: FlopCounter | None = None) -> np.ndarray:
     """First `k` columns of Q = H(u_0) H(u_1) ... H(u_{r-1})."""
-    if k > f.m or k < 0:
+    k = _as_index(k, "column count")
+    if k > f.m:
         raise ValueError(f"cannot form {k} columns of a {f.m}-row Q")
     q = np.eye(f.m, k, order="F")
     for j, t in zip(reversed(f.panel_starts), reversed(f.t_blocks)):

@@ -33,12 +33,13 @@ from scipy.linalg import lapack
 from .core import (
     EPS,
     FlopCounter,
+    _as_index,
+    _check_block,
     _prefix_trail,
     _scale_into_range,
-    _scale_r_back,
     matmul,
 )
-from .householder import QRFactors, _form_t, housev
+from .householder import QRFactors, _factors, _form_t, housev
 
 
 class WeightVector:
@@ -136,54 +137,35 @@ def mgsp(a: np.ndarray, max_steps: int | None = None, step_hook=None):
     return q, r, trail
 
 
-def _var1_engine(
-    a: np.ndarray,
-    row0: int,
-    col0: int,
-    ncols: int,
-    nsteps: int,
-    t: np.ndarray,
-    weights: WeightVector,
-    fc: FlopCounter | None = None,
-    step_hook=None,
-):
-    """Pivoted unblocked HQR over a window of `ncols` columns at (row0, col0).
+def _var1_engine(a: np.ndarray, nsteps: int, weights: WeightVector, step_hook=None):
+    """Pivoted unblocked HQR of `a`, `nsteps` steps from the top left.
 
-    Runs `nsteps` steps of: pivot by weight, reflect, rank-1 trailing update
-    across the window, downdate weights by the new R row; T is formed into
-    `t` from the finished panel.  Column swaps act on full columns of `a`
-    so R rows committed above the window stay consistent.  Returns (taus,
-    local trail).
+    Each step pivots by weight, reflects, applies the rank-1 update to the
+    trailing columns and downdates the weights by the new R row.  Returns
+    (taus, trail).
     """
-    m = a.shape[0]
+    n = a.shape[1]
     taus = np.empty(nsteps)
     trail = np.empty(nsteps, dtype=np.int64)
     for k in range(nsteps):
         piv = determine_pivot(weights, k)
         trail[k] = piv
         if piv != k:
-            a[:, [col0 + k, col0 + piv]] = a[:, [col0 + piv, col0 + k]]
+            a[:, [k, piv]] = a[:, [piv, k]]
             weights.swap(k, piv)
-        rho, u_tail, tau = housev(a[row0 + k :, col0 + k])
-        a[row0 + k, col0 + k] = rho
-        a[row0 + k + 1 :, col0 + k] = u_tail
+        rho, u_tail, tau = housev(a[k:, k])
+        a[k, k] = rho
+        a[k + 1 :, k] = u_tail
         taus[k] = tau
-        if k + 1 < ncols:
-            row = a[row0 + k, col0 + k + 1 : col0 + ncols]
-            tail = a[row0 + k + 1 :, col0 + k + 1 : col0 + ncols]
+        if k + 1 < n:
+            row = a[k, k + 1 :]
+            tail = a[k + 1 :, k + 1 :]
             w = (row + u_tail @ tail) / tau
             row -= w
             tail -= np.outer(u_tail, w)
-            weights.downdate(
-                k + 1,
-                row,
-                lambda j: float(
-                    a[row0 + k + 1 :, col0 + j] @ a[row0 + k + 1 :, col0 + j]
-                ),
-            )
+            weights.downdate(k + 1, row, lambda j: float(a[k + 1 :, j] @ a[k + 1 :, j]))
         if step_hook is not None:
             step_hook(k, a, weights)
-    t[:nsteps, :nsteps] = _form_t(a[row0:, col0 : col0 + nsteps], taus)
     return taus, trail
 
 
@@ -195,17 +177,17 @@ def hqrp_unb(
 ) -> QRFactors:
     """Classical column-pivoted Householder QR, full trailing updates.
 
-    An input outside the safe scale window is factored scaled by a power
-    of two (module docstring), and `step_hook` sees it scaled.
+    Stops after `steps` steps when given, a non-negative integer.  No step
+    is a level-3 kernel, so `fc` counts nothing.  An input outside the
+    safe scale window is factored scaled by a power of two (module
+    docstring), and `step_hook` sees it scaled.
     """
+    if steps is not None:
+        steps = _as_index(steps, "steps")
     e = _scale_into_range(a)
-    m, n = a.shape
-    r = min(m, n) if steps is None else min(steps, m, n)
-    t = np.zeros((r, r))
-    weights = compute_weights(a)
-    taus, trail = _var1_engine(a, 0, 0, n, r, t, weights, fc, step_hook)
-    _scale_r_back(a, r, e)
-    return QRFactors(a, [0], [t], taus, trail)
+    r = min(a.shape) if steps is None else min(steps, *a.shape)
+    taus, trail = _var1_engine(a, r, compute_weights(a), step_hook)
+    return _factors(a, e, [_form_t(a, taus)], trail)
 
 
 def hqrp_panel_var3(
@@ -291,30 +273,20 @@ def hqrp_blk(a: np.ndarray, b: int, fc: FlopCounter | None = None) -> QRFactors:
     outside the safe scale window is factored scaled by a power of two
     (module docstring).
     """
-    if b < 1:
-        raise ValueError("block size must be >= 1")
+    b, _ = _check_block(b)
     e = _scale_into_range(a)
     m, n = a.shape
     r = min(m, n)
     weights = compute_weights(a)
-    starts, blocks, taus_parts, trail_parts = [], [], [], []
+    blocks, trail = [], np.empty(r, dtype=np.int64)
     for j in range(0, r, b):
         bw = min(b, r - j)
         win = n - j
         t = np.zeros((bw, bw))
         w_mat = np.zeros((bw, win), order="F")
-        taus, trail = hqrp_panel_var3(a, j, j, win, bw, t, w_mat, weights, fc)
+        _, panel_trail = hqrp_panel_var3(a, j, j, win, bw, t, w_mat, weights, fc)
         a[j + bw :, j + bw :] -= matmul(a[j + bw :, j : j + bw], w_mat[:bw, bw:], fc)
         weights.v, weights.v_orig = weights.v[bw:], weights.v_orig[bw:]
-        starts.append(j)
         blocks.append(t)
-        taus_parts.append(taus)
-        trail_parts.append(trail + j)
-    _scale_r_back(a, r, e)
-    return QRFactors(
-        a,
-        starts,
-        blocks,
-        np.concatenate(taus_parts) if taus_parts else np.empty(0),
-        np.concatenate(trail_parts) if trail_parts else np.empty(0, dtype=np.int64),
-    )
+        trail[j : j + bw] = panel_trail + j
+    return _factors(a, e, blocks, trail)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import svdvals
 
-from .core import _scale_into_range, frobenius_norm, trail_to_permutation
+from .core import _as_index, _scale_into_range, frobenius_norm, trail_to_permutation
 from .householder import QRFactors, form_q
 from .rng import Xoshiro256pp
 
@@ -86,16 +86,21 @@ def _spectral_norm(b_mat: np.ndarray) -> float:
     return float(svdvals(b_mat, check_finite=False)[0])
 
 
+def _ranks(ks) -> np.ndarray:
+    """Truncation ranks as int64; ValueError unless each is an integer >= 0."""
+    return np.array([_as_index(k, "truncation rank") for k in ks], dtype=np.int64)
+
+
 def eckart_young_bounds(sigmas: np.ndarray, ks) -> tuple[np.ndarray, np.ndarray]:
     """(Frobenius, spectral) lower bounds for each truncation rank in `ks`.
 
     The Frobenius floor of rank k is ``frobenius_norm(sigmas[k:])``, the
     same scale-safe norm as the error it bounds, and the spectral floor is
-    sigmas[k]; both are 0 past the end.  Negative ranks raise ValueError.
+    sigmas[k]; both are 0 past the end.  A rank that is negative or not an
+    integer raises ValueError.
     """
     sigmas = np.asarray(sigmas, dtype=np.float64)
-    if min(ks, default=0) < 0:
-        raise ValueError("truncation ranks must be >= 0")
+    ks = _ranks(ks)
     bound_frob = np.array([frobenius_norm(sigmas[k:]) for k in ks])
     bound_spec = np.array([sigmas[k] if k < len(sigmas) else 0.0 for k in ks])
     return bound_frob, bound_spec
@@ -116,10 +121,10 @@ def truncation_errors(
     is the largest singular value of each block, from LAPACK (`svdvals`).
     `sigmas`, when given, supplies the per-k Eckart-Young floors.
     """
-    ks = np.asarray(ks, dtype=np.int64)
+    ks = _ranks(ks)
     r_full = f.r_matrix()
     r = f.r
-    if np.any(ks < 0) or np.any(ks > r):
+    if np.any(ks > r):
         raise ValueError(f"truncation ranks must lie in [0, {r}]")
     e_frob = np.array([frobenius_norm(r_full[k:, k:]) for k in ks])
     e_spec = (

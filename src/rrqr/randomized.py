@@ -39,13 +39,13 @@ import numpy as np
 
 from .core import (
     FlopCounter,
+    _check_block,
     _scale_into_range,
-    _scale_r_back,
     apply_pivot_trail,
     matmul,
     permutation_to_trail,
 )
-from .householder import QRFactors, _form_t, _lapack_qr, apply_block_qt
+from .householder import QRFactors, _factors, _form_t, _lapack_qr, apply_block_qt
 from .pivoting import mgsp
 from .rng import Xoshiro256pp, gaussian_matrix
 
@@ -75,8 +75,7 @@ def build_sketch(
     rng: Xoshiro256pp, a: np.ndarray, b: int, p: int = 5, fc: FlopCounter | None = None
 ) -> Sketch:
     """Draw G ((b+p) x m) and form Y = G A."""
-    if b < 1 or p < 0:
-        raise ValueError("need block size >= 1 and oversampling >= 0")
+    b, p = _check_block(b, p)
     g = gaussian_matrix(rng, b + p, a.shape[0])
     return Sketch(g, matmul(g, a, fc), b, p)
 
@@ -161,16 +160,13 @@ def hqrrp_blk(
     """
     if mode not in ("basic", "downdate"):
         raise ValueError(f"unknown mode {mode!r}")
-    if b < 1 or p < 0:
-        raise ValueError("need block size >= 1 and oversampling >= 0")
+    b, p = _check_block(b, p)
     e = _scale_into_range(a)
-    m, n = a.shape
-    r = min(m, n)
-    perm = np.arange(n, dtype=np.int64)
+    r = min(a.shape)
+    perm = np.arange(a.shape[1], dtype=np.int64)
     sk = None
-    starts, blocks, taus_parts = [], [], []
-    j = 0
-    while j < r:
+    blocks = []
+    for j in range(0, r, b):
         bw = min(b, r - j)
         if sk is None or mode == "basic":
             sk = build_sketch(rng, a[j:, j:], b, p, fc)
@@ -182,7 +178,7 @@ def hqrrp_blk(
                     y=y_trail,
                     g=sk.g,
                     a=a,
-                    panels=list(zip(starts, blocks)),
+                    panels=list(zip(range(0, j, b), blocks)),
                     perm=perm.copy(),
                     mode=mode,
                 )
@@ -199,18 +195,8 @@ def hqrrp_blk(
         apply_block_qt(panel, t, a[j:, j + bw :], fc)
         if mode == "downdate":
             downdate_sketch(sk, panel, t, a[j : j + bw, j + bw :], (), fc)
-        starts.append(j)
         blocks.append(t)
-        taus_parts.append(taus)
-        j += bw
-    _scale_r_back(a, r, e)
     # The net permutation mixes sketch swaps with panel gathers, so the trail
     # is its canonical decomposition (full length: displaced columns shuffle
     # the tail region too).
-    return QRFactors(
-        a,
-        starts,
-        blocks,
-        np.concatenate(taus_parts) if taus_parts else np.empty(0),
-        permutation_to_trail(perm),
-    )
+    return _factors(a, e, blocks, permutation_to_trail(perm))

@@ -40,9 +40,10 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 
 import numpy as np
+
+from .core import _as_index
 
 _MASK = (1 << 64) - 1
 
@@ -189,17 +190,6 @@ def _fill_lanes(state, out):
     out[(k - 1) * lane :] = w[:last, -1]
 
 
-def _count(n) -> int:
-    """`n` as a non-negative int; ValueError for anything else."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"count must be an integer, got {n!r}") from None
-    if n < 0:
-        raise ValueError(f"count must be non-negative, got {n}")
-    return n
-
-
 def _uniforms(w):
     """Words `w` mapped to doubles in (0, 1].
 
@@ -229,7 +219,7 @@ class Xoshiro256pp:
 
     def raw(self, n: int) -> np.ndarray:
         """Next `n` raw 64-bit words."""
-        out = np.empty(_count(n), dtype=np.uint64)
+        out = np.empty(_as_index(n, "count"), dtype=np.uint64)
         for c in range(0, len(out), _CHUNK):
             part = out[c : c + _CHUNK]
             fill = _fill_py if len(part) < _LANE_MIN else _fill_lanes
@@ -242,7 +232,7 @@ class Xoshiro256pp:
 
     def normals(self, n: int) -> np.ndarray:
         """Next `n` standard normal variates."""
-        n = _count(n)
+        n = _as_index(n, "count")
         half = (n + 1) // 2
         u = _uniforms(self.raw(2 * half))
         r = np.sqrt(-2.0 * np.log(u[:half]))

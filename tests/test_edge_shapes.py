@@ -1,5 +1,7 @@
 """Degenerate shapes and ranks through every factorization driver."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -37,16 +39,18 @@ def test_tiny_shapes_stay_valid(m, n, name, run):
     assert recon < 1e-13 and orth < 1e-13
 
 
+# every driver configuration, with its block, oversampling and step
+# parameters open to override
 GEN_DRIVERS = [
     ("hqr", lambda x, gen: hqr_unb(x)),
-    ("hqr-blk", lambda x, gen: hqr_blk(x, 2)),
-    ("hqrp", lambda x, gen: hqrp_blk(x, 2)),
-    ("hqrp-unb", lambda x, gen: hqrp_unb(x)),
-    ("hqrrp", lambda x, gen: hqrrp_blk(x, 2, gen, p=1)),
-    ("hqrrp-basic", lambda x, gen: hqrrp_blk(x, 2, gen, p=0, mode="basic")),
-    # not a driver, but it checks and scales its input with the same prologue
-    ("spectral-norm-est", lambda x, gen: spectral_norm_est(x)),
+    ("hqr-blk", lambda x, gen, b=2: hqr_blk(x, b)),
+    ("hqrp", lambda x, gen, b=2: hqrp_blk(x, b)),
+    ("hqrp-unb", lambda x, gen, steps=None: hqrp_unb(x, steps=steps)),
+    ("hqrrp", lambda x, gen, b=2, p=1: hqrrp_blk(x, b, gen, p=p)),
+    ("hqrrp-basic", lambda x, gen, b=2, p=0: hqrrp_blk(x, b, gen, p=p, mode="basic")),
 ]
+# not a driver, but it checks and scales its input with the same prologue
+SPECTRAL = ("spectral-norm-est", lambda x, gen: spectral_norm_est(x))
 
 
 def _gaussian_40():
@@ -55,7 +59,7 @@ def _gaussian_40():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("name,run", GEN_DRIVERS)
+@pytest.mark.parametrize("name,run", GEN_DRIVERS + [SPECTRAL])
 def test_non_finite_input_rejected_before_any_draw(name, run, bad):
     a = gaussian_matrix(Xoshiro256pp(3), 5, 4)
     a[2, 1] = bad
@@ -67,7 +71,7 @@ def test_non_finite_input_rejected_before_any_draw(name, run, bad):
     assert np.array_equal(gen.raw(4), Xoshiro256pp(1).raw(4))
 
 
-@pytest.mark.parametrize("name,run", GEN_DRIVERS)
+@pytest.mark.parametrize("name,run", GEN_DRIVERS + [SPECTRAL])
 def test_column_norm_overflow_rejected_before_any_draw(name, run):
     # every entry is finite, but the largest column norm is 0.98 * 2^1025
     a = np.ldexp(_gaussian_40(), 1022)
@@ -75,6 +79,58 @@ def test_column_norm_overflow_rejected_before_any_draw(name, run):
     gen = Xoshiro256pp(1)
     with pytest.raises(ValueError, match="column norm"):
         run(a, gen)
+    assert np.array_equal(a, before)
+    assert np.array_equal(gen.raw(4), Xoshiro256pp(1).raw(4))
+
+
+@pytest.mark.parametrize("kind", ["int64", "float32", "1-D", "3-D"])
+@pytest.mark.parametrize("name,run", GEN_DRIVERS)
+def test_non_float64_matrix_rejected_before_any_draw(name, run, kind):
+    # a driver factors in place, so it must not convert a copy and factor
+    # that, nor factor a float32 matrix in single precision
+    a = np.ldexp(gaussian_matrix(Xoshiro256pp(3), 5, 4), 4)
+    a = {
+        "int64": a.astype(np.int64),
+        "float32": a.astype(np.float32),
+        "1-D": a[:, 0].copy(),
+        "3-D": a[None].copy(),
+    }[kind]
+    before = a.copy()
+    gen = Xoshiro256pp(1)
+    with pytest.raises(ValueError, match="2-D float64 array"):
+        run(a, gen)
+    assert np.array_equal(a, before)
+    assert np.array_equal(gen.raw(4), Xoshiro256pp(1).raw(4))
+
+
+BAD_PARAMETERS = [
+    ("b", 0),
+    ("b", 2.0),
+    ("b", "4"),
+    ("p", -1),
+    ("p", 1.5),
+    ("steps", -1),
+    ("steps", 2.5),
+]
+
+
+@pytest.mark.parametrize(
+    "run,kw",
+    [
+        pytest.param(run, {key: value}, id=f"{name}-{key}={value!r}")
+        for name, run in GEN_DRIVERS
+        for key, value in BAD_PARAMETERS
+        if key in inspect.signature(run).parameters
+    ],
+)
+def test_bad_parameter_rejected_before_any_draw(run, kw):
+    # outside the safe scale window, so a check after the prologue would
+    # leave the matrix scaled
+    a = np.ldexp(_gaussian_40(), -1000)
+    before = a.copy()
+    gen = Xoshiro256pp(1)
+    with pytest.raises(ValueError, match="block size|oversampling|steps"):
+        run(a, gen, **kw)
     assert np.array_equal(a, before)
     assert np.array_equal(gen.raw(4), Xoshiro256pp(1).raw(4))
 

@@ -236,6 +236,10 @@ def test_form_q_rejects_too_many_columns():
     f = hqr_blk(gauss(17, 6, 4), 2)
     with pytest.raises(ValueError):
         form_q(f, 7)
+    # and column counts that are negative or not integers
+    for k in (-1, 2.5, "3"):
+        with pytest.raises(ValueError, match="column count"):
+            form_q(f, k)
 
 
 @pytest.mark.parametrize("m,n", [(64, 64), (200, 120), (120, 200)])

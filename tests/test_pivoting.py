@@ -21,7 +21,6 @@ from rrqr import (
     select_block_pivots,
     trail_to_permutation,
 )
-from rrqr.pivoting import _var1_engine
 
 from conftest import gauss
 
@@ -381,14 +380,3 @@ def test_blocked_fast_decay_diagonal_ordering():
     d = np.abs(np.diag(f.r_matrix()))
     assert np.all(d[:-1] >= d[1:] * (1 - 1e-12))
 
-
-def test_var1_engine_window_restriction():
-    # pivoting restricted to a window leaves other columns untouched
-    a = gauss(16, 10, 8)
-    orig = a.copy()
-    t = np.zeros((3, 3))
-    panel = a[:, 2:5]
-    weights = WeightVector(np.einsum("ij,ij->j", panel, panel))
-    _var1_engine(a, 2, 2, 3, 3, t, weights)
-    assert np.array_equal(a[:, :2], orig[:, :2])
-    assert np.array_equal(a[:, 5:], orig[:, 5:])

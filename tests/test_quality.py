@@ -60,6 +60,9 @@ def test_ks_validated():
         truncation_errors(a, f, [11])
     with pytest.raises(ValueError):
         truncation_errors(a, f, [-1])
+    # a fractional rank is not rounded down
+    with pytest.raises(ValueError, match="integer"):
+        truncation_errors(a, f, [1.7, 2.2])
 
 
 def test_packed_trailing_norm_equals_explicit_residual():
@@ -133,6 +136,8 @@ def test_eckart_young_rejects_negative_ranks():
         eckart_young_bounds([3.0, 2.0, 1.0], [-1])
     with pytest.raises(ValueError):
         eckart_young_bounds([3.0, 2.0, 1.0], np.array([0, 2, -3]))
+    with pytest.raises(ValueError, match="integer"):
+        eckart_young_bounds([3.0, 2.0, 1.0], [1.7, 2.2])
 
 
 @pytest.mark.parametrize("gen", [gen_fast_decay, gen_s_shape])
