@@ -26,10 +26,9 @@ import csv
 import sys
 import time
 
-import numpy as np
 from scipy.linalg import svdvals
 
-from .core import FlopCounter
+from .core import FlopCounter, as_matrix
 from .householder import hqr_blk, hqr_unb, form_q
 from .mio import read_matrix, write_matrix_market
 from .pivoting import hqrp_blk
@@ -55,14 +54,13 @@ def _make_matrix(args):
     if kind == "kahan":
         return gen_kahan(args.n, zeta=args.zeta), None
     if kind == "gaussian":
-        m = args.m if args.m else args.n
+        m = args.m if args.m is not None else args.n
         return gaussian_matrix(rng, m, args.n), None
     raise ValueError(f"unknown matrix kind {kind!r}")
 
 
-def _run_algo(algo, a, b, p, seed, fc=None):
-    """Factor a copy of `a` with the named algorithm."""
-    work = np.array(a, dtype=np.float64, order="F")
+def _run_algo(algo, work, b, p, seed, fc=None):
+    """Factor `work` in place with the named algorithm."""
     if algo == "hqr":
         return hqr_unb(work, fc)
     if algo == "hqr-blk":
@@ -91,7 +89,7 @@ def cmd_gen(args) -> int:
 def cmd_factor(args) -> int:
     a = read_matrix(args.input)
     fc = FlopCounter()
-    f = _run_algo(args.algo, a, args.b, args.p, args.seed, fc)
+    f = _run_algo(args.algo, as_matrix(a), args.b, args.p, args.seed, fc)
     write_matrix_market(f"{args.output}.R.mtx", f.r_matrix())
     with open(f"{args.output}.piv.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -125,7 +123,7 @@ def cmd_quality(args) -> int:
         for algo in args.algo:
             rep = truncation_errors(
                 a,
-                _run_algo(algo, a, args.b, args.p, args.seed),
+                _run_algo(algo, as_matrix(a), args.b, args.p, args.seed),
                 ks,
                 with_spectral=args.spectral,
                 sigmas=sigmas,
@@ -154,6 +152,7 @@ def cmd_bench(args) -> int:
         writer.writerow(["algo", "n", "b", "p", "seconds", "std_gflops", "counted_flops"])
         for algo in args.algo:
             for n in args.n:
+                # a fresh matrix per run, factored in place: no copy is timed
                 a = gaussian_matrix(Xoshiro256pp(args.seed), n, n)
                 fc = FlopCounter()
                 t0 = time.perf_counter()

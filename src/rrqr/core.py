@@ -49,12 +49,17 @@ def check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
 _SAFE_EXPONENT = 250
 
 
-def _as_index(x, what: str) -> int:
-    """`x` as a non-negative int; ValueError for anything else."""
+def _as_integer(x, what: str) -> int:
+    """`x` as a Python int; ValueError unless it is an integer."""
     try:
-        i = operator.index(x)
+        return operator.index(x)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {x!r}") from None
+
+
+def _as_index(x, what: str) -> int:
+    """`x` as a non-negative int; ValueError for anything else."""
+    i = _as_integer(x, what)
     if i < 0:
         raise ValueError(f"{what} must be non-negative, got {i}")
     return i
@@ -143,10 +148,18 @@ def apply_pivot_trail(a: np.ndarray, trail, inverse: bool = False) -> np.ndarray
     return a
 
 
+def _index_vector(x, what: str) -> np.ndarray:
+    """`x` as a 1-D int64 vector; ValueError unless its entries are integers."""
+    v = np.asarray(x)
+    if v.ndim != 1 or (v.size and v.dtype.kind not in "iu"):
+        raise ValueError(f"{what} must be a 1-D vector of integers, got {x!r}")
+    return v.astype(np.int64, copy=False)
+
+
 def trail_to_permutation(trail, n: int) -> np.ndarray:
     """Permutation vector p with A[:, p] = forward-applied A."""
     p = np.arange(n, dtype=np.int64)
-    for i, j in enumerate(np.asarray(trail, dtype=np.int64)):
+    for i, j in enumerate(_index_vector(trail, "trail")):
         if j < i or j >= n:
             raise IndexError(f"trail[{i}] = {j} out of range [{i}, {n})")
         p[i], p[j] = p[j], p[i]
@@ -154,8 +167,15 @@ def trail_to_permutation(trail, n: int) -> np.ndarray:
 
 
 def permutation_to_trail(perm) -> np.ndarray:
-    """Unique ascending swap trail that reproduces `perm` from identity."""
-    return _prefix_trail(perm, len(perm))[0]
+    """Unique ascending swap trail that reproduces `perm` from identity.
+
+    ValueError unless `perm` is a permutation of range(len(perm)).
+    """
+    perm = _index_vector(perm, "permutation")
+    n = len(perm)
+    if n and not (perm.min() >= 0 and perm.max() < n and np.bincount(perm, minlength=n).all()):
+        raise ValueError(f"not a permutation of range({n})")
+    return _prefix_trail(perm, n)[0]
 
 
 def _prefix_trail(perm, n: int):
@@ -200,9 +220,6 @@ class FlopCounter:
 
     def add(self, flops: int):
         self.count += int(flops)
-
-    def reset(self):
-        self.count = 0
 
 
 def matmul(a: np.ndarray, b: np.ndarray, fc: FlopCounter | None = None) -> np.ndarray:

@@ -72,16 +72,24 @@ def housev(x) -> Reflector:
 class QRFactors:
     """Packed factorization: R above the diagonal, reflector tails below.
 
-    `t_blocks[i]` is the T accumulator of the panel starting at column
-    `panel_starts[i]`; `taus` concatenates the diagonal of every T block.
+    `t_blocks` holds one T block per column panel, in column order; the
+    panel starts, the taus and the reflector count r are read off them.
     `trail` is the pivot swap trail (empty for unpivoted factorizations).
     """
 
     packed: np.ndarray
-    panel_starts: list
     t_blocks: list
-    taus: np.ndarray
     trail: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+
+    @property
+    def panel_starts(self) -> list:
+        """First column of each panel: the cumulative T widths."""
+        return list(accumulate((t.shape[0] for t in self.t_blocks), initial=0))[:-1]
+
+    @property
+    def taus(self) -> np.ndarray:
+        """Every reflector's tau: the T diagonals, where `_form_t` writes them."""
+        return np.concatenate([np.diagonal(t) for t in self.t_blocks] or [np.empty(0)])
 
     @property
     def m(self) -> int:
@@ -93,7 +101,7 @@ class QRFactors:
 
     @property
     def r(self) -> int:
-        return len(self.taus)
+        return sum(t.shape[0] for t in self.t_blocks)
 
     def r_matrix(self) -> np.ndarray:
         return np.triu(self.packed[: self.r, :])
@@ -121,24 +129,17 @@ def _form_t(panel: np.ndarray, taus: np.ndarray) -> np.ndarray:
 def _factors(a: np.ndarray, e: int, t_blocks: list, trail=None) -> QRFactors:
     """Driver epilogue: scale R back by 2^e and pack the factors.
 
-    `t_blocks` holds one T per panel, in column order.  The taus are read
-    off the T diagonals, where `_form_t` writes them exactly, and the panel
-    starts are the cumulative T widths.  `e` is the exponent returned by
-    ``core._scale_into_range``; R's rows and the unfactored block are
-    scaled back, the reflector tails are not.
+    `e` is the exponent returned by ``core._scale_into_range``; R's rows
+    and the unfactored block are scaled back, the reflector tails are not.
     """
-    widths = [t.shape[0] for t in t_blocks]
-    r = sum(widths)
+    f = QRFactors(a, t_blocks) if trail is None else QRFactors(a, t_blocks, trail)
     if e != 0:
+        r = f.r
         for j in range(a.shape[1]):
             top = a[: min(j + 1, r), j]
             np.ldexp(top, e, out=top)
         np.ldexp(a[r:, r:], e, out=a[r:, r:])
-    starts = list(accumulate(widths, initial=0))[:-1]
-    taus = np.concatenate([np.diagonal(t) for t in t_blocks]) if t_blocks else np.empty(0)
-    if trail is None:
-        trail = np.empty(0, dtype=np.int64)
-    return QRFactors(a, starts, t_blocks, taus, trail)
+    return f
 
 
 def _lapack_qr(x: np.ndarray, pivoting: bool = False):
@@ -165,20 +166,17 @@ def _lapack_qr(x: np.ndarray, pivoting: bool = False):
     return taus, (out[2] if pivoting else None)
 
 
-def hqr_unb_formT(panel: np.ndarray, t: np.ndarray | None = None):
+def hqr_unb_formT(panel: np.ndarray):
     """Unblocked panel factorization by LAPACK; returns (T, taus).
 
     The panel is overwritten with R and the reflector tails, and T is
-    formed from the finished panel (into `t` when one is given).
+    formed from the finished panel.
     """
     h, w = panel.shape
     if w > h:
         raise ValueError(f"panel must have at most as many columns as rows ({h}x{w})")
     taus, _ = _lapack_qr(panel)
-    if t is None:
-        return _form_t(panel, taus), taus
-    t[:w, :w] = _form_t(panel, taus)
-    return t, taus
+    return _form_t(panel, taus), taus
 
 
 def hqr_unb(a: np.ndarray, fc: FlopCounter | None = None) -> QRFactors:

@@ -104,14 +104,15 @@ def mgsp(a: np.ndarray, max_steps: int | None = None, step_hook=None):
     nonnegative and non-increasing.  Takes at most `max_steps` pivots and
     stops before the first k with r_kk^2 <= m * eps * max_j ||a_j||^2,
     returning the rank-deficient truncation; R's columns follow the order
-    of that truncated trail.  `a` itself is left untouched.  `step_hook`
-    must be None: LAPACK exposes no state between steps.
+    of that truncated trail.  `max_steps` must be None or a non-negative
+    integer.  `a` itself is left untouched.  `step_hook` must be None:
+    LAPACK exposes no state between steps.
     """
     if step_hook is not None:
         raise ValueError("mgsp runs in LAPACK and cannot call a step hook")
     m, n = a.shape
-    rmax = min(m, n) if max_steps is None else min(m, n, max_steps)
-    if rmax <= 0:
+    rmax = min(m, n) if max_steps is None else min(m, n, _as_index(max_steps, "max_steps"))
+    if rmax == 0:
         return np.zeros((m, 0)), np.zeros((0, n)), np.empty(0, dtype=np.int64)
     qr, jpvt, tau, _, info = lapack.dgeqp3(a)
     if info != 0:
@@ -196,10 +197,8 @@ def hqrp_panel_var3(
     col0: int,
     win: int,
     nsteps: int,
-    t: np.ndarray,
     w_mat: np.ndarray,
     weights: WeightVector,
-    fc: FlopCounter | None = None,
 ):
     """Delayed-update pivoted panel (Crout-flavored variant 3).
 
@@ -213,8 +212,8 @@ def hqrp_panel_var3(
     A22 -= U2 @ w_mat[:nsteps, nsteps:].
 
     Rows of `w_mat` at and beyond the current step are scratch and must
-    not be read.  T is formed into `t` from the finished panel.  Returns
-    (taus, local trail).
+    not be read.  Returns (T, taus, local trail), T formed from the
+    finished panel.
     """
     if w_mat.shape[0] < nsteps or w_mat.shape[1] < win:
         raise ValueError("W buffer smaller than the panel window")
@@ -252,8 +251,7 @@ def hqrp_panel_var3(
             row,
             lambda j: _var3_residual_norm2(a, w_mat, row0, col0, k, j),
         )
-    t[:nsteps, :nsteps] = _form_t(a[row0:, col0 : col0 + nsteps], taus)
-    return taus, trail
+    return _form_t(a[row0:, col0 : col0 + nsteps], taus), taus, trail
 
 
 def _var3_residual_norm2(a, w_mat, row0, col0, k, j) -> float:
@@ -282,9 +280,8 @@ def hqrp_blk(a: np.ndarray, b: int, fc: FlopCounter | None = None) -> QRFactors:
     for j in range(0, r, b):
         bw = min(b, r - j)
         win = n - j
-        t = np.zeros((bw, bw))
         w_mat = np.zeros((bw, win), order="F")
-        _, panel_trail = hqrp_panel_var3(a, j, j, win, bw, t, w_mat, weights, fc)
+        t, _, panel_trail = hqrp_panel_var3(a, j, j, win, bw, w_mat, weights)
         a[j + bw :, j + bw :] -= matmul(a[j + bw :, j : j + bw], w_mat[:bw, bw:], fc)
         weights.v, weights.v_orig = weights.v[bw:], weights.v_orig[bw:]
         blocks.append(t)

@@ -39,6 +39,7 @@ import numpy as np
 
 from .core import (
     FlopCounter,
+    _as_index,
     _check_block,
     _scale_into_range,
     apply_pivot_trail,
@@ -62,13 +63,7 @@ class Sketch:
 
     g: np.ndarray
     y: np.ndarray
-    b: int
-    p: int
     col_offset: int = 0
-
-    @property
-    def rows(self) -> int:
-        return self.g.shape[0]
 
 
 def build_sketch(
@@ -77,7 +72,7 @@ def build_sketch(
     """Draw G ((b+p) x m) and form Y = G A."""
     b, p = _check_block(b, p)
     g = gaussian_matrix(rng, b + p, a.shape[0])
-    return Sketch(g, matmul(g, a, fc), b, p)
+    return Sketch(g, matmul(g, a, fc))
 
 
 def select_block_pivots(y: np.ndarray, b: int) -> np.ndarray:
@@ -85,8 +80,9 @@ def select_block_pivots(y: np.ndarray, b: int) -> np.ndarray:
 
     Takes the first b pivots of LAPACK's pivoted QR (dgeqp3) of `y`; `y`
     is not modified.  If the sketch runs out of mass early the trail is
-    padded with identity swaps.
+    padded with identity swaps.  `b` must be a non-negative integer.
     """
+    b = _as_index(b, "pivot count")
     if b > y.shape[1]:
         raise ValueError(f"cannot pick {b} pivots from {y.shape[1]} columns")
     _, _, trail = mgsp(y, max_steps=b)
@@ -101,23 +97,17 @@ def downdate_sketch(
     u_panel: np.ndarray,
     t11: np.ndarray,
     r12: np.ndarray,
-    iter_swaps,
+    *,
     fc: FlopCounter | None = None,
 ) -> None:
     """Advance the sketch past a finished panel.
 
     `u_panel` is the packed panel column block (U11 over U21), `t11` its
-    T accumulator, `r12` the freshly committed R rows right of the panel,
-    and `iter_swaps` the (position, other) column swaps this iteration
-    performed, in order.  Updates Y columns by those swaps, replaces G by
-    G Q restricted to the panel's reflectors, and downdates the trailing
-    part of Y.
-
-    `iter_swaps` needs only the swaps that move columns into or out of the
-    panel; swaps inside the finished panel may be left out, since Y's
-    panel columns are never read once `col_offset` moves past them.
-    `hqrrp_blk` passes no swaps: it permutes Y together with A, so Y
-    already follows A's column order.
+    T accumulator and `r12` the freshly committed R rows right of the
+    panel.  Replaces G by G Q restricted to the panel's reflectors and
+    downdates the trailing part of Y.  Y's columns must already follow
+    A's column order: `hqrrp_blk` moves them with A's through
+    ``core.apply_pivot_trail``.
     """
     bw = t11.shape[0]
     if bw == 0:
@@ -127,9 +117,6 @@ def downdate_sketch(
         raise ValueError("panel height does not match the remaining G columns")
     if r12.shape != (bw, sk.y.shape[1] - j - bw):
         raise ValueError("R12 shape does not match the sketch partition")
-    for pos, other in iter_swaps:
-        if pos != other:
-            sk.y[:, [pos, other]] = sk.y[:, [other, pos]]
     apply_block_qt(u_panel, t11, sk.g[:, j:].T, fc)  # (Q^T G^T)^T = G Q
     sk.y[:, j + bw :] -= matmul(sk.g[:, j : j + bw], r12, fc)
     sk.col_offset = j + bw
@@ -194,7 +181,7 @@ def hqrrp_blk(
         t = _form_t(panel, taus)
         apply_block_qt(panel, t, a[j:, j + bw :], fc)
         if mode == "downdate":
-            downdate_sketch(sk, panel, t, a[j : j + bw, j + bw :], (), fc)
+            downdate_sketch(sk, panel, t, a[j : j + bw, j + bw :], fc=fc)
         blocks.append(t)
     # The net permutation mixes sketch swaps with panel gathers, so the trail
     # is its canonical decomposition (full length: displaced columns shuffle

@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-from .core import _as_index
+from .core import _as_index, _as_integer
 
 _MASK = (1 << 64) - 1
 
@@ -208,11 +208,11 @@ class Xoshiro256pp:
 
     The state transition and output scrambler follow the reference
     definition exactly; see the module docstring for how uniforms and
-    normals are derived from the word stream.
+    normals are derived from the word stream.  A seed is any integer, mod 2^64.
     """
 
     def __init__(self, seed: int):
-        words = _splitmix64(int(seed), 4)
+        words = _splitmix64(_as_integer(seed, "seed"), 4)
         if all(w == 0 for w in words):
             words[0] = 1  # all-zero state is the one invalid xoshiro state
         self._state = np.array(words, dtype=np.uint64)

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 import rrqr.cli as cli
-from rrqr import frobenius_norm
+from rrqr import frobenius_norm, gaussian_matrix, hqr_blk
 from rrqr.mio import read_matrix_market, write_matrix_market
 
 from conftest import gauss
@@ -242,3 +242,29 @@ def test_factor_pivoted_diag_ordering_via_files(tmp_path, capsys):
     d = np.abs(np.diag(r))
     assert np.all(d[:-1] >= d[1:] * (1 - 1e-12))
     capsys.readouterr()
+
+
+def test_gen_zero_rows_is_runtime_error(tmp_path, capsys):
+    prefix = str(tmp_path / "g")
+    assert run(["gen", "--kind", "gaussian", "--n", "4", "--m", "0", "-o", prefix]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "g.mtx").exists()
+
+
+def test_bench_times_no_copy_of_its_input(tmp_path, monkeypatch):
+    # bench factors the matrix it generated in place, so its clock times
+    # the factorization alone
+    made, factored = [], []
+
+    def generate(*args):
+        made.append(gaussian_matrix(*args))
+        return made[-1]
+
+    def factor(a, b, fc):
+        factored.append(a)
+        return hqr_blk(a, b, fc)
+
+    monkeypatch.setattr(cli, "gaussian_matrix", generate)
+    monkeypatch.setattr(cli, "hqr_blk", factor)
+    assert run(["bench", "--algo", "hqr-blk", "--n", "32", "--b", "8", "-o", str(tmp_path / "b")]) == 0
+    assert len(factored) == 1 and factored[0] is made[0]

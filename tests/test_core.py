@@ -153,3 +153,37 @@ def test_solve_upper_solves():
     assert np.allclose(t @ x, b, atol=1e-12)
     xt = solve_upper(t, b, transpose=True)
     assert np.allclose(t.T @ xt, b, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "perm", [[0, 0, 2], [0.5, 1], [0.0, 1.0], [1, 2], [-1, 0], [[0, 1]], [True, False]]
+)
+def test_permutation_to_trail_rejects_non_permutations(perm):
+    with pytest.raises(ValueError, match="permutation"):
+        permutation_to_trail(perm)
+
+
+def test_permutation_to_trail_accepts_any_integer_type():
+    assert len(permutation_to_trail([])) == 0
+    perm = np.array([2, 0, 3, 1], dtype=np.uint8)
+    assert np.array_equal(permutation_to_trail(perm), permutation_to_trail([2, 0, 3, 1]))
+
+
+@pytest.mark.parametrize("trail", [[1.7], [1.0], ["1"], [[1]]])
+def test_non_integer_trail_rejected(trail):
+    a = gauss(7, 3, 4)
+    b = a.copy()
+    with pytest.raises(ValueError, match="trail"):
+        trail_to_permutation(trail, 4)
+    with pytest.raises(ValueError, match="trail"):
+        apply_pivot_trail(b, trail)
+    assert np.array_equal(a, b)
+
+
+def test_empty_trail_accepted():
+    a = gauss(8, 3, 4)
+    b = a.copy()
+    for empty in ([], np.empty(0), np.empty(0, dtype=np.int64)):
+        assert np.array_equal(trail_to_permutation(empty, 4), np.arange(4))
+        apply_pivot_trail(b, empty)
+    assert np.array_equal(a, b)

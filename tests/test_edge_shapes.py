@@ -6,13 +6,21 @@ import numpy as np
 import pytest
 
 from rrqr import (
+    FlopCounter,
+    QRFactors,
+    Sketch,
     Xoshiro256pp,
+    build_sketch,
+    compute_weights,
+    downdate_sketch,
     factorization_errors,
     gaussian_matrix,
     gen_fast_decay,
     hqr_blk,
     hqr_unb,
+    hqr_unb_formT,
     hqrp_blk,
+    hqrp_panel_var3,
     hqrp_unb,
     hqrrp_blk,
     mgsp,
@@ -51,6 +59,85 @@ GEN_DRIVERS = [
 ]
 # not a driver, but it checks and scales its input with the same prologue
 SPECTRAL = ("spectral-norm-est", lambda x, gen: spectral_norm_est(x))
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (5, 7), (6, 6), (1, 1), (0, 4), (4, 0)])
+@pytest.mark.parametrize("name,run", GEN_DRIVERS)
+def test_taus_and_panel_starts_are_read_off_the_t_blocks(name, run, shape):
+    a = np.zeros(shape, order="F")
+    if min(shape):
+        a = gaussian_matrix(Xoshiro256pp(3), *shape)
+    f = run(a, Xoshiro256pp(1))
+    starts, j = [], 0
+    for t in f.t_blocks:
+        starts.append(j)
+        j += t.shape[0]
+    assert f.r == len(f.taus) == j == min(shape)
+    assert f.panel_starts == starts
+    diagonals = [np.diagonal(t) for t in f.t_blocks]
+    assert np.array_equal(f.taus, np.concatenate(diagonals) if diagonals else np.empty(0))
+    with pytest.raises(AttributeError):
+        f.taus = f.taus
+
+
+# old call forms, each passing an argument that no longer exists; every one
+# must fail when called rather than bind that argument to another parameter
+RETIRED_CALLS = [
+    ("hqr_unb_formT-t", lambda a: hqr_unb_formT(a, np.zeros((6, 6)))),
+    (
+        "hqrp_panel_var3-t",
+        lambda a: hqrp_panel_var3(
+            a, 0, 0, 6, 2, np.zeros((2, 2)), np.zeros((2, 6), order="F"), compute_weights(a)
+        ),
+    ),
+    (
+        "hqrp_panel_var3-t-fc",
+        lambda a: hqrp_panel_var3(
+            a,
+            0,
+            0,
+            6,
+            2,
+            np.zeros((2, 2)),
+            np.zeros((2, 6), order="F"),
+            compute_weights(a),
+            FlopCounter(),
+        ),
+    ),
+    (
+        "hqrp_panel_var3-fc",
+        lambda a: hqrp_panel_var3(
+            a, 0, 0, 6, 2, np.zeros((2, 6), order="F"), compute_weights(a), fc=FlopCounter()
+        ),
+    ),
+    (
+        "downdate_sketch-iter_swaps",
+        lambda a: downdate_sketch(
+            build_sketch(Xoshiro256pp(1), a, 2, 1), a[:, :2], np.eye(2), a[:2, 2:], []
+        ),
+    ),
+    (
+        "downdate_sketch-iter_swaps-fc",
+        lambda a: downdate_sketch(
+            build_sketch(Xoshiro256pp(1), a, 2, 1), a[:, :2], np.eye(2), a[:2, 2:], (), None
+        ),
+    ),
+    ("QRFactors-starts-taus", lambda a: QRFactors(a, [], [], np.empty(0))),
+    (
+        "QRFactors-starts-taus-trail",
+        lambda a: QRFactors(a, [0], [np.eye(1)], np.ones(1), np.zeros(1, dtype=np.int64)),
+    ),
+    ("Sketch-b-p", lambda a: Sketch(np.ones((3, 8)), np.ones((3, 6)), 2, 1)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in RETIRED_CALLS], ids=[i for i, _ in RETIRED_CALLS])
+def test_retired_call_forms_raise_type_error(call):
+    a = gaussian_matrix(Xoshiro256pp(3), 8, 6)
+    before = a.copy()
+    with pytest.raises(TypeError):
+        call(a)
+    assert np.array_equal(a, before)
 
 
 def _gaussian_40():

@@ -220,7 +220,7 @@ def test_form_q_zero_columns():
 
 
 def test_form_q_no_reflectors_gives_identity_columns():
-    f = QRFactors(np.zeros((5, 0), order="F"), [], [], np.empty(0))
+    f = QRFactors(np.zeros((5, 0), order="F"), [])
     assert np.array_equal(form_q(f, 3), np.eye(5, 3))
 
 

@@ -308,10 +308,9 @@ def test_var3_single_column_panel_matches_var1():
     a1 = a.copy(order="F")
     f1 = hqrp_unb(a1, steps=1)
     a3 = a.copy(order="F")
-    t = np.zeros((1, 1))
     w_mat = np.zeros((1, 6), order="F")
     weights = compute_weights(a3)
-    taus, trail = hqrp_panel_var3(a3, 0, 0, 6, 1, t, w_mat, weights)
+    _, taus, trail = hqrp_panel_var3(a3, 0, 0, 6, 1, w_mat, weights)
     a3[1:, 1:] -= a3[1:, :1] @ w_mat[:1, 1:]
     assert trail[0] == f1.trail[0]
     assert np.allclose(a3, f1.packed, atol=1e-13 * frobenius_norm(a))
@@ -321,10 +320,9 @@ def test_var3_panel_plus_rank_update_matches_var1():
     a = gauss(11, 50, 50)
     f1 = hqrp_unb(a.copy(order="F"), steps=8)
     a3 = a.copy(order="F")
-    t = np.zeros((8, 8))
     w_mat = np.zeros((8, 50), order="F")
     weights = compute_weights(a3)
-    taus, trail = hqrp_panel_var3(a3, 0, 0, 50, 8, t, w_mat, weights)
+    _, taus, trail = hqrp_panel_var3(a3, 0, 0, 50, 8, w_mat, weights)
     a3[8:, 8:] -= a3[8:, :8] @ w_mat[:8, 8:]
     assert np.array_equal(trail, f1.trail)
     assert frobenius_norm(a3 - f1.packed) <= 1e-12 * frobenius_norm(a)
@@ -335,10 +333,9 @@ def test_var3_early_stop_matches_var1_prefix():
     a = gauss(12, 30, 20)
     f1 = hqrp_unb(a.copy(order="F"), steps=5)
     a3 = a.copy(order="F")
-    t = np.zeros((8, 8))
     w_mat = np.zeros((8, 20), order="F")
     weights = compute_weights(a3)
-    taus, trail = hqrp_panel_var3(a3, 0, 0, 20, 5, t, w_mat, weights)
+    _, taus, trail = hqrp_panel_var3(a3, 0, 0, 20, 5, w_mat, weights)
     assert np.array_equal(trail, f1.trail[:5])
     # completed rows and columns agree; trailing block differs by design
     assert np.allclose(a3[:5, :], f1.packed[:5, :], atol=1e-12 * frobenius_norm(a))
@@ -348,9 +345,7 @@ def test_var3_early_stop_matches_var1_prefix():
 def test_var3_rejects_small_buffers():
     a = gauss(13, 10, 8)
     with pytest.raises(ValueError):
-        hqrp_panel_var3(
-            a, 0, 0, 8, 4, np.zeros((4, 4)), np.zeros((2, 8)), compute_weights(a)
-        )
+        hqrp_panel_var3(a, 0, 0, 8, 4, np.zeros((2, 8)), compute_weights(a))
 
 
 def test_blocked_single_panel_equals_var1():
@@ -380,3 +375,16 @@ def test_blocked_fast_decay_diagonal_ordering():
     d = np.abs(np.diag(f.r_matrix()))
     assert np.all(d[:-1] >= d[1:] * (1 - 1e-12))
 
+
+
+@pytest.mark.parametrize("steps", [2.5, -1, "2"])
+def test_mgsp_rejects_bad_step_count(steps):
+    with pytest.raises(ValueError, match="max_steps"):
+        mgsp(gauss(15, 6, 5), max_steps=steps)
+
+
+def test_mgsp_takes_any_integer_step_count_or_none():
+    y = gauss(15, 6, 5)
+    assert np.array_equal(mgsp(y, max_steps=np.int64(3))[2], mgsp(y, max_steps=3)[2])
+    assert len(mgsp(y, max_steps=0)[2]) == 0
+    assert len(mgsp(y, max_steps=None)[2]) == 5

@@ -110,7 +110,7 @@ def test_downdate_sketch_zero_width_panel_is_noop():
     a = gauss(7, 10, 10)
     sk = build_sketch(Xoshiro256pp(3), a, 2, 3)
     y0, g0 = sk.y.copy(), sk.g.copy()
-    downdate_sketch(sk, a, np.zeros((0, 0)), a[:0, :], [])
+    downdate_sketch(sk, a, np.zeros((0, 0)), a[:0, :])
     assert np.array_equal(sk.y, y0) and np.array_equal(sk.g, g0)
     assert sk.col_offset == 0
 
@@ -122,7 +122,7 @@ def test_downdate_sketch_one_panel_matches_fresh_product():
     g0 = sk.g.copy()
     t, _ = hqr_unb_formT(a[:, :8])  # unpivoted panel keeps the oracle simple
     apply_block_qt(a[:, :8], t, a[:, 8:])
-    downdate_sketch(sk, a[:, :8], t, a[:8, 8:], [])
+    downdate_sketch(sk, a[:, :8], t, a[:8, 8:])
     g_fresh, state = fresh_sketch_state(a0, g0, [(0, t)], a, np.arange(64))
     rhs = g_fresh[:, 8:] @ state[8:, 8:]
     assert frobenius_norm(sk.y[:, 8:] - rhs) <= 1e-11 * frobenius_norm(a0)
@@ -134,9 +134,9 @@ def test_downdate_sketch_dimension_mismatch():
     sk = build_sketch(Xoshiro256pp(5), a, 4, 2)
     t = np.eye(4)
     with pytest.raises(ValueError):
-        downdate_sketch(sk, a[2:, :4], t, a[:4, 4:], [])
+        downdate_sketch(sk, a[2:, :4], t, a[:4, 4:])
     with pytest.raises(ValueError):
-        downdate_sketch(sk, a[:, :4], t, a[:4, 5:], [])
+        downdate_sketch(sk, a[:, :4], t, a[:4, 5:])
 
 
 def test_sketch_invariant_at_every_loop_head():
@@ -271,3 +271,9 @@ def test_generator_use_per_mode():
         assert np.array_equal(rng.raw(4), ref.raw(4)), mode
     assert np.array_equal(first["basic"][0], first["downdate"][0])
     assert np.array_equal(first["basic"][1], first["downdate"][1])
+
+
+@pytest.mark.parametrize("b", [2.5, -1, "2"])
+def test_select_block_pivots_rejects_bad_pivot_count(b):
+    with pytest.raises(ValueError, match="pivot count"):
+        select_block_pivots(gauss(16, 6, 8), b)

@@ -170,3 +170,23 @@ def test_numpy_integer_counts_accepted(method):
     for n in (np.int64(3), np.int32(3), np.uint8(3)):
         out = getattr(Xoshiro256pp(1), method)(n)
         assert np.array_equal(out, getattr(Xoshiro256pp(1), method)(3))
+
+
+@pytest.mark.parametrize("seed", [1.5, 3.0, "3", None, [3]])
+def test_non_integer_seed_rejected(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        Xoshiro256pp(seed)
+
+
+def test_integer_seeds_keep_their_streams():
+    # regression: first four words at seed -1, recorded once; a seed is
+    # taken modulo 2^64
+    assert Xoshiro256pp(-1).raw(4).tolist() == [
+        6254647548650071986,
+        16610832622747802512,
+        16422857234328439435,
+        5048281510058307187,
+    ]
+    assert np.array_equal(Xoshiro256pp(2**64 - 1).raw(4), Xoshiro256pp(-1).raw(4))
+    for seed in (np.int64(123), np.uint32(123)):
+        assert np.array_equal(Xoshiro256pp(seed).raw(4), Xoshiro256pp(123).raw(4))
