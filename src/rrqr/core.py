@@ -36,9 +36,10 @@ def check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
 #
 # Every driver checks its whole input before it changes the matrix or draws
 # from its generator, and raises ValueError the same way for anything it
-# cannot factor: a matrix that is not 2-D float64, or holds NaN or Inf or a
-# column norm beyond the double range; a count or block size that is not a
-# non-negative integer.  Squared column norms, sketches Y = G A and
+# cannot factor: a matrix that is not a writeable 2-D float64 array, or
+# holds NaN or Inf or a column norm beyond the double range; a count or
+# block size that is not a non-negative integer; a generator that is not
+# an ``Xoshiro256pp``.  Squared column norms, sketches Y = G A and
 # trailing updates overflow or underflow long before the entries do, so
 # a matrix whose largest |entry| lies outside 2^-250..2^250 is factored
 # scaled by the power of two that brings it into [1/2, 1), which is exact,
@@ -76,14 +77,16 @@ def _check_block(b, p=0) -> tuple[int, int]:
 def _scale_into_range(a: np.ndarray) -> int:
     """Check a driver's input and scale it in place by 2^-e; returns e.
 
-    Raises ValueError, with `a` untouched, when `a` is not a 2-D float64
-    array, or holds NaN or Inf or a column whose 2-norm exceeds the double
-    range.  Returns 0 without touching `a` when its largest |entry| is
-    zero or already lies within 2^-_SAFE_EXPONENT..2^_SAFE_EXPONENT.
+    Raises ValueError, with `a` untouched, when `a` is not a writeable 2-D
+    float64 array, or holds NaN or Inf or a column whose 2-norm exceeds the
+    double range.  Returns 0 without touching `a` when its largest |entry|
+    is zero or already lies within 2^-_SAFE_EXPONENT..2^_SAFE_EXPONENT.
     """
     if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == np.float64):
         got = f"{a.ndim}-D {a.dtype} array" if isinstance(a, np.ndarray) else type(a).__name__
         raise ValueError(f"input must be a 2-D float64 array, got {got}")
+    if not a.flags.writeable:
+        raise ValueError("input must be a writeable 2-D float64 array, got a read-only one")
     hi = float(a.max(initial=0.0))
     lo = float(a.min(initial=0.0))
     if not (np.isfinite(hi) and np.isfinite(lo)):  # max and min propagate NaN

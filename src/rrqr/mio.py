@@ -56,7 +56,12 @@ def read_matrix_market(path) -> np.ndarray:
             raise ValueError(f"{path}: size line {line.strip()!r} is not two integers >= 0")
         m, n = int(toks[0]), int(toks[1])
         # with no values to read, loadtxt would warn; count what is left instead
-        data = np.loadtxt(fh, ndmin=1) if m * n else np.empty(len(fh.read().split()))
+        try:
+            data = np.loadtxt(fh, ndmin=2) if m * n else np.empty((len(fh.read().split()), 1))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}; expected one value per line") from None
+    if data.shape[1] != 1:
+        raise ValueError(f"{path}: {data.shape[1]} values on a line; expected one per line")
     if data.size != m * n:
         raise ValueError(f"{path}: expected {m * n} values, found {data.size}")
     a = data.reshape((m, n), order="F")

@@ -21,8 +21,8 @@ Three factorization drivers live here:
 * ``hqrp_unb``   -- Householder QR with pivoting, full trailing updates
                     (variant 1),
 * ``hqrp_blk``   -- the blocked form, whose panels run the delayed-update
-                    variant 3 and leave one rank-b update per panel to a
-                    matrix-matrix multiply.
+                    variant 3 on their window alone and leave one rank-b
+                    update per panel to a matrix-matrix multiply.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from .core import (
     _check_block,
     _prefix_trail,
     _scale_into_range,
+    apply_pivot_trail,
+    check_finite,
     matmul,
 )
 from .householder import QRFactors, _factors, _form_t, housev
@@ -105,11 +107,12 @@ def mgsp(a: np.ndarray, max_steps: int | None = None, step_hook=None):
     stops before the first k with r_kk^2 <= m * eps * max_j ||a_j||^2,
     returning the rank-deficient truncation; R's columns follow the order
     of that truncated trail.  `max_steps` must be None or a non-negative
-    integer.  `a` itself is left untouched.  `step_hook` must be None:
-    LAPACK exposes no state between steps.
+    integer, and NaN or Inf in `a` raises ValueError.  `a` is left
+    untouched.  `step_hook` must be None: LAPACK keeps no state between steps.
     """
     if step_hook is not None:
         raise ValueError("mgsp runs in LAPACK and cannot call a step hook")
+    check_finite(a)
     m, n = a.shape
     rmax = min(m, n) if max_steps is None else min(m, n, _as_index(max_steps, "max_steps"))
     if rmax == 0:
@@ -191,74 +194,57 @@ def hqrp_unb(
     return _factors(a, e, [_form_t(a, taus)], trail)
 
 
-def hqrp_panel_var3(
-    a: np.ndarray,
-    row0: int,
-    col0: int,
-    win: int,
-    nsteps: int,
-    w_mat: np.ndarray,
-    weights: WeightVector,
-):
-    """Delayed-update pivoted panel (Crout-flavored variant 3).
+def hqrp_panel_var3(a: np.ndarray, nsteps: int, weights: WeightVector):
+    """Delayed-update pivoted panel (Crout-flavored variant 3) of the window `a`.
 
-    Completes `nsteps` rows and columns of the window while touching the
-    rest of the window only through the accumulated rows of `w_mat`
-    (w_mat[k] = row k of T^{-T} U^T A-hat restricted to the window): the
-    current column and current row are patched up against the stored
-    original data, the reflector is computed, the next W row is derived
-    and the finished R row committed.  The trailing block stays untouched;
-    the caller owes it the single rank-`nsteps` update
-    A22 -= U2 @ w_mat[:nsteps, nsteps:].
+    Completes the first `nsteps` rows and columns of `a` while touching the
+    rest of it only through the accumulated rows of W (W[k] = row k of
+    T^{-T} U^T A-hat): the current column and current row are patched up
+    against the stored original data, the reflector is computed, the next
+    W row is derived and the finished R row committed.  Pivot swaps move
+    only the window's own rows; the caller moves whatever lies outside it.
+    The trailing block stays untouched: the caller owes it the single
+    rank-`nsteps` update A22 -= U2 @ W[:, nsteps:].
 
-    Rows of `w_mat` at and beyond the current step are scratch and must
-    not be read.  Returns (T, taus, local trail), T formed from the
-    finished panel.
+    `weights` holds one weight per column of `a`.  Returns (T, taus,
+    trail, W), T formed from the finished panel.
     """
-    if w_mat.shape[0] < nsteps or w_mat.shape[1] < win:
-        raise ValueError("W buffer smaller than the panel window")
+    win = a.shape[1]
     if len(weights) != win:
         raise ValueError("weight vector does not match the window width")
+    w_mat = np.zeros((nsteps, win), order="F")
     taus = np.empty(nsteps)
     trail = np.empty(nsteps, dtype=np.int64)
     for k in range(nsteps):
         piv = determine_pivot(weights, k)
         trail[k] = piv
         if piv != k:
-            a[:, [col0 + k, col0 + piv]] = a[:, [col0 + piv, col0 + k]]
+            a[:, [k, piv]] = a[:, [piv, k]]
             w_mat[:, [k, piv]] = w_mat[:, [piv, k]]
             weights.swap(k, piv)
-        col = a[row0 + k :, col0 + k]
+        col = a[k:, k]
         if k > 0:
-            col -= a[row0 + k :, col0 : col0 + k] @ w_mat[:k, k]
+            col -= a[k:, :k] @ w_mat[:k, k]
         rho, u_tail, tau = housev(col)
-        a[row0 + k, col0 + k] = rho
-        a[row0 + k + 1 :, col0 + k] = u_tail
+        a[k, k] = rho
+        a[k + 1 :, k] = u_tail
         taus[k] = tau
-        row = a[row0 + k, col0 + k + 1 : col0 + win]
+        row = a[k, k + 1 :]
         if k > 0:
-            row -= a[row0 + k, col0 : col0 + k] @ w_mat[:k, k + 1 : win]
-        w_row = row + u_tail @ a[row0 + k + 1 :, col0 + k + 1 : col0 + win]
+            row -= a[k, :k] @ w_mat[:k, k + 1 :]
+        w_row = row + u_tail @ a[k + 1 :, k + 1 :]
         if k > 0:
-            w_row -= (u_tail @ a[row0 + k + 1 :, col0 : col0 + k]) @ w_mat[
-                :k, k + 1 : win
-            ]
+            w_row -= (u_tail @ a[k + 1 :, :k]) @ w_mat[:k, k + 1 :]
         w_row /= tau
-        w_mat[k, k + 1 : win] = w_row
+        w_mat[k, k + 1 :] = w_row
         row -= w_row
-        weights.downdate(
-            k + 1,
-            row,
-            lambda j: _var3_residual_norm2(a, w_mat, row0, col0, k, j),
-        )
-    return _form_t(a[row0:, col0 : col0 + nsteps], taus), taus, trail
+        weights.downdate(k + 1, row, lambda j: _var3_residual_norm2(a, w_mat, k, j))
+    return _form_t(a[:, :nsteps], taus), taus, trail, w_mat
 
 
-def _var3_residual_norm2(a, w_mat, row0, col0, k, j) -> float:
+def _var3_residual_norm2(a, w_mat, k, j) -> float:
     """Exact squared norm of window column j below row k, pre-deferred-update."""
-    col = a[row0 + k + 1 :, col0 + j] - a[row0 + k + 1 :, col0 : col0 + k + 1] @ w_mat[
-        : k + 1, j
-    ]
+    col = a[k + 1 :, j] - a[k + 1 :, : k + 1] @ w_mat[: k + 1, j]
     return float(col @ col)
 
 
@@ -267,22 +253,21 @@ def hqrp_blk(a: np.ndarray, b: int, fc: FlopCounter | None = None) -> QRFactors:
 
     Produces factors identical (to roundoff) to `hqrp_unb`, including the
     pivot trail under the shared smallest-index tie-break; only the
-    rank-b trailing updates run as matrix-matrix multiplies.  An input
-    outside the safe scale window is factored scaled by a power of two
-    (module docstring).
+    rank-b trailing updates run as matrix-matrix multiplies, and the R rows
+    above each panel's window take its pivots through ``apply_pivot_trail``.
+    An input outside the safe scale window is factored scaled by a power
+    of two (module docstring).
     """
     b, _ = _check_block(b)
     e = _scale_into_range(a)
-    m, n = a.shape
-    r = min(m, n)
+    r = min(a.shape)
     weights = compute_weights(a)
     blocks, trail = [], np.empty(r, dtype=np.int64)
     for j in range(0, r, b):
         bw = min(b, r - j)
-        win = n - j
-        w_mat = np.zeros((bw, win), order="F")
-        t, _, panel_trail = hqrp_panel_var3(a, j, j, win, bw, w_mat, weights)
-        a[j + bw :, j + bw :] -= matmul(a[j + bw :, j : j + bw], w_mat[:bw, bw:], fc)
+        t, _, panel_trail, w = hqrp_panel_var3(a[j:, j:], bw, weights)
+        apply_pivot_trail(a[:j, j:], panel_trail)
+        a[j + bw :, j + bw :] -= matmul(a[j + bw :, j : j + bw], w[:, bw:], fc)
         weights.v, weights.v_orig = weights.v[bw:], weights.v_orig[bw:]
         blocks.append(t)
         trail[j : j + bw] = panel_trail + j

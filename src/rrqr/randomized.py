@@ -80,7 +80,8 @@ def select_block_pivots(y: np.ndarray, b: int) -> np.ndarray:
 
     Takes the first b pivots of LAPACK's pivoted QR (dgeqp3) of `y`; `y`
     is not modified.  If the sketch runs out of mass early the trail is
-    padded with identity swaps.  `b` must be a non-negative integer.
+    padded with identity swaps.  `b` must be a non-negative integer, and
+    NaN or Inf in `y` raises ValueError (through `mgsp`).
     """
     b = _as_index(b, "pivot count")
     if b > y.shape[1]:
@@ -148,6 +149,8 @@ def hqrrp_blk(
     if mode not in ("basic", "downdate"):
         raise ValueError(f"unknown mode {mode!r}")
     b, p = _check_block(b, p)
+    if not isinstance(rng, Xoshiro256pp):
+        raise ValueError(f"rng must be an Xoshiro256pp generator, got {type(rng).__name__}")
     e = _scale_into_range(a)
     r = min(a.shape)
     perm = np.arange(a.shape[1], dtype=np.int64)

@@ -111,6 +111,10 @@ RETIRED_CALLS = [
         ),
     ),
     (
+        "hqrp_panel_var3-w_mat",
+        lambda a: hqrp_panel_var3(a, 0, 0, 6, 2, np.zeros((2, 6), order="F"), compute_weights(a)),
+    ),
+    (
         "downdate_sketch-iter_swaps",
         lambda a: downdate_sketch(
             build_sketch(Xoshiro256pp(1), a, 2, 1), a[:, :2], np.eye(2), a[:2, 2:], []
@@ -170,18 +174,21 @@ def test_column_norm_overflow_rejected_before_any_draw(name, run):
     assert np.array_equal(gen.raw(4), Xoshiro256pp(1).raw(4))
 
 
-@pytest.mark.parametrize("kind", ["int64", "float32", "1-D", "3-D"])
+@pytest.mark.parametrize("kind", ["int64", "float32", "1-D", "3-D", "read-only"])
 @pytest.mark.parametrize("name,run", GEN_DRIVERS)
 def test_non_float64_matrix_rejected_before_any_draw(name, run, kind):
     # a driver factors in place, so it must not convert a copy and factor
-    # that, nor factor a float32 matrix in single precision
+    # that, nor factor a float32 matrix in single precision, nor start on a
+    # matrix it cannot write
     a = np.ldexp(gaussian_matrix(Xoshiro256pp(3), 5, 4), 4)
     a = {
         "int64": a.astype(np.int64),
         "float32": a.astype(np.float32),
         "1-D": a[:, 0].copy(),
         "3-D": a[None].copy(),
+        "read-only": a,
     }[kind]
+    a.flags.writeable = kind != "read-only"
     before = a.copy()
     gen = Xoshiro256pp(1)
     with pytest.raises(ValueError, match="2-D float64 array"):
@@ -208,6 +215,12 @@ BAD_PARAMETERS = [
         for name, run in GEN_DRIVERS
         for key, value in BAD_PARAMETERS
         if key in inspect.signature(run).parameters
+    ]
+    + [
+        pytest.param(
+            lambda x, gen, mode=mode: hqrrp_blk(x, 2, None, mode=mode), {}, id=f"{mode}-rng=None"
+        )
+        for mode in ("downdate", "basic")
     ],
 )
 def test_bad_parameter_rejected_before_any_draw(run, kw):
@@ -216,10 +229,17 @@ def test_bad_parameter_rejected_before_any_draw(run, kw):
     a = np.ldexp(_gaussian_40(), -1000)
     before = a.copy()
     gen = Xoshiro256pp(1)
-    with pytest.raises(ValueError, match="block size|oversampling|steps"):
+    with pytest.raises(ValueError, match="block size|oversampling|steps|generator"):
         run(a, gen, **kw)
     assert np.array_equal(a, before)
     assert np.array_equal(gen.raw(4), Xoshiro256pp(1).raw(4))
+
+
+def test_spectral_norm_est_accepts_a_read_only_matrix():
+    # it works on a copy, so the drivers' writeable check must not reach it
+    a = _gaussian_40()
+    a.flags.writeable = False
+    assert spectral_norm_est(a) == spectral_norm_est(a.copy(order="K"))
 
 
 @pytest.mark.parametrize("name,run", DRIVERS)

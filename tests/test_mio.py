@@ -142,6 +142,16 @@ def test_empty_matrix_with_values_rejected(tmp_path):
         read_matrix_market(path)
 
 
+@pytest.mark.parametrize("values", ["1 2\n3 4", "1 2 3 4", "1\n2\n3 4"])
+def test_several_values_on_a_line_rejected(tmp_path, values):
+    # read as one column-major stream, "1 2 / 3 4" would be [[1, 3], [2, 4]],
+    # but row-wise it reads [[1, 2], [3, 4]]; the format has one value a line
+    path = tmp_path / "rows.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real general\n2 2\n{values}\n")
+    with pytest.raises(ValueError, match="rows.mtx"):
+        read_matrix_market(path)
+
+
 def test_factor_exits_1_on_bad_size_line(tmp_path, capsys):
     path = tmp_path / "bad.mtx"
     path.write_text("%%MatrixMarket matrix array real general\n2 2 4\n1\n2\n3\n4\n")

@@ -308,10 +308,9 @@ def test_var3_single_column_panel_matches_var1():
     a1 = a.copy(order="F")
     f1 = hqrp_unb(a1, steps=1)
     a3 = a.copy(order="F")
-    w_mat = np.zeros((1, 6), order="F")
     weights = compute_weights(a3)
-    _, taus, trail = hqrp_panel_var3(a3, 0, 0, 6, 1, w_mat, weights)
-    a3[1:, 1:] -= a3[1:, :1] @ w_mat[:1, 1:]
+    _, taus, trail, w = hqrp_panel_var3(a3, 1, weights)
+    a3[1:, 1:] -= a3[1:, :1] @ w[:, 1:]
     assert trail[0] == f1.trail[0]
     assert np.allclose(a3, f1.packed, atol=1e-13 * frobenius_norm(a))
 
@@ -320,10 +319,9 @@ def test_var3_panel_plus_rank_update_matches_var1():
     a = gauss(11, 50, 50)
     f1 = hqrp_unb(a.copy(order="F"), steps=8)
     a3 = a.copy(order="F")
-    w_mat = np.zeros((8, 50), order="F")
     weights = compute_weights(a3)
-    _, taus, trail = hqrp_panel_var3(a3, 0, 0, 50, 8, w_mat, weights)
-    a3[8:, 8:] -= a3[8:, :8] @ w_mat[:8, 8:]
+    _, taus, trail, w = hqrp_panel_var3(a3, 8, weights)
+    a3[8:, 8:] -= a3[8:, :8] @ w[:, 8:]
     assert np.array_equal(trail, f1.trail)
     assert frobenius_norm(a3 - f1.packed) <= 1e-12 * frobenius_norm(a)
     assert np.allclose(taus, f1.taus, rtol=1e-12)
@@ -333,19 +331,27 @@ def test_var3_early_stop_matches_var1_prefix():
     a = gauss(12, 30, 20)
     f1 = hqrp_unb(a.copy(order="F"), steps=5)
     a3 = a.copy(order="F")
-    w_mat = np.zeros((8, 20), order="F")
     weights = compute_weights(a3)
-    _, taus, trail = hqrp_panel_var3(a3, 0, 0, 20, 5, w_mat, weights)
+    _, taus, trail, _ = hqrp_panel_var3(a3, 5, weights)
     assert np.array_equal(trail, f1.trail[:5])
     # completed rows and columns agree; trailing block differs by design
     assert np.allclose(a3[:5, :], f1.packed[:5, :], atol=1e-12 * frobenius_norm(a))
     assert np.allclose(a3[:, :5], f1.packed[:, :5], atol=1e-12 * frobenius_norm(a))
 
 
-def test_var3_rejects_small_buffers():
+def test_var3_rejects_weights_of_another_width():
     a = gauss(13, 10, 8)
-    with pytest.raises(ValueError):
-        hqrp_panel_var3(a, 0, 0, 8, 4, np.zeros((2, 8)), compute_weights(a))
+    with pytest.raises(ValueError, match="window width"):
+        hqrp_panel_var3(a, 4, compute_weights(a[:, 1:]))
+
+
+def test_var3_panel_leaves_rows_above_its_window_untouched():
+    a = gauss(15, 30, 20)
+    above = a[:2, :].copy()
+    _, _, trail, w = hqrp_panel_var3(a[2:, 2:], 6, compute_weights(a[2:, 2:]))
+    assert np.array_equal(a[:2, :], above)
+    assert np.any(trail != np.arange(6))  # the panel did pivot
+    assert w.shape == (6, 18)
 
 
 def test_blocked_single_panel_equals_var1():
@@ -381,6 +387,15 @@ def test_blocked_fast_decay_diagonal_ordering():
 def test_mgsp_rejects_bad_step_count(steps):
     with pytest.raises(ValueError, match="max_steps"):
         mgsp(gauss(15, 6, 5), max_steps=steps)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mgsp_and_sketch_pivots_reject_non_finite(bad):
+    y = np.array([[bad, 1.0, 2.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        mgsp(y)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        select_block_pivots(y, 2)
 
 
 def test_mgsp_takes_any_integer_step_count_or_none():
