@@ -127,8 +127,6 @@ def cmd_quality(args) -> int:
                 ks,
                 with_spectral=args.spectral,
                 sigmas=sigmas,
-                algo_label=algo,
-                seed=args.seed,
             )
             for idx, k in enumerate(ks):
                 qw.writerow(

@@ -74,19 +74,24 @@ def _check_block(b, p=0) -> tuple[int, int]:
     return b, p
 
 
-def _scale_into_range(a: np.ndarray) -> int:
-    """Check a driver's input and scale it in place by 2^-e; returns e.
-
-    Raises ValueError, with `a` untouched, when `a` is not a writeable 2-D
-    float64 array, or holds NaN or Inf or a column whose 2-norm exceeds the
-    double range.  Returns 0 without touching `a` when its largest |entry|
-    is zero or already lies within 2^-_SAFE_EXPONENT..2^_SAFE_EXPONENT.
-    """
+def _check_matrix(a) -> None:
+    """ValueError unless `a` is a writeable 2-D float64 array."""
     if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == np.float64):
         got = f"{a.ndim}-D {a.dtype} array" if isinstance(a, np.ndarray) else type(a).__name__
         raise ValueError(f"input must be a 2-D float64 array, got {got}")
     if not a.flags.writeable:
         raise ValueError("input must be a writeable 2-D float64 array, got a read-only one")
+
+
+def _scale_into_range(a: np.ndarray) -> int:
+    """Check a driver's input and scale it in place by 2^-e; returns e.
+
+    Raises ValueError, with `a` untouched, when `a` fails `_check_matrix`,
+    or holds NaN or Inf or a column whose 2-norm exceeds the double range.
+    Returns 0 without touching `a` when its largest |entry| is zero or
+    already lies within 2^-_SAFE_EXPONENT..2^_SAFE_EXPONENT.
+    """
+    _check_matrix(a)
     hi = float(a.max(initial=0.0))
     lo = float(a.min(initial=0.0))
     if not (np.isfinite(hi) and np.isfinite(lo)):  # max and min propagate NaN

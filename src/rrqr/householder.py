@@ -32,6 +32,7 @@ from .core import (
     FlopCounter,
     _as_index,
     _check_block,
+    _check_matrix,
     _scale_into_range,
     matmul,
     solve_upper,
@@ -51,7 +52,8 @@ def housev(x) -> Reflector:
     A zero input is mapped to the degenerate convention rho = 0,
     u_tail = 0, tau = 1/2 (the reflector negates the head coordinate and
     leaves the tail alone), which keeps factorizations of rank-deficient
-    matrices total and every Q orthogonal.
+    matrices total and every Q orthogonal.  Any `x` whose 2-norm is within
+    the double range gets its reflector; a larger one raises ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or len(x) == 0:
@@ -61,9 +63,16 @@ def housev(x) -> Reflector:
         return Reflector(0.0, np.zeros(len(x) - 1), 0.5)
     scaled = x / amax
     nrm = amax * float(np.sqrt(scaled @ scaled))
+    if nrm == np.inf:
+        raise ValueError("housev: the norm of x is beyond the double range")
     sign = -1.0 if x[0] < 0 else 1.0
     rho = -sign * nrm
-    u_tail = x[1:] / (x[0] - rho)  # x0 - rho = sign(x0)(|x0| + nrm), no cancellation
+    # x0 - rho = sign(x0)(|x0| + nrm), no cancellation; past 2^1023 that sum
+    # overflows, so there both sides are halved, exactly
+    if nrm > 2.0**1022:
+        u_tail = (0.5 * x[1:]) / (0.5 * x[0] - 0.5 * rho)
+    else:
+        u_tail = x[1:] / (x[0] - rho)
     tau = 0.5 * (1.0 + float(u_tail @ u_tail))
     return Reflector(rho, u_tail, tau)
 
@@ -170,8 +179,11 @@ def hqr_unb_formT(panel: np.ndarray):
     """Unblocked panel factorization by LAPACK; returns (T, taus).
 
     The panel is overwritten with R and the reflector tails, and T is
-    formed from the finished panel.
+    formed from the finished panel.  A panel that is not a writeable 2-D
+    float64 array raises the drivers' ValueError (``core._check_matrix``)
+    before anything is written.
     """
+    _check_matrix(panel)
     h, w = panel.shape
     if w > h:
         raise ValueError(f"panel must have at most as many columns as rows ({h}x{w})")

@@ -14,6 +14,7 @@ Readers validate that every entry is finite.
 
 from __future__ import annotations
 
+import io
 import os
 
 import numpy as np
@@ -55,9 +56,9 @@ def read_matrix_market(path) -> np.ndarray:
         if len(toks) != 2 or not all(t.isascii() and t.isdigit() for t in toks):
             raise ValueError(f"{path}: size line {line.strip()!r} is not two integers >= 0")
         m, n = int(toks[0]), int(toks[1])
-        # with no values to read, loadtxt would warn; count what is left instead
+        rest = fh.read()  # loadtxt warns on input without values, so none is passed
         try:
-            data = np.loadtxt(fh, ndmin=2) if m * n else np.empty((len(fh.read().split()), 1))
+            data = np.loadtxt(io.StringIO(rest), ndmin=2) if rest.strip() else np.empty((0, 1))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}; expected one value per line") from None
     if data.shape[1] != 1:

@@ -20,7 +20,6 @@ from scipy.linalg import svdvals
 
 from .core import _as_index, _scale_into_range, frobenius_norm, trail_to_permutation
 from .householder import QRFactors, form_q
-from .rng import Xoshiro256pp
 
 
 @dataclass
@@ -31,47 +30,19 @@ class QualityReport:
     r_diag: np.ndarray
     sv_bound_frob: np.ndarray | None
     sv_bound_spec: np.ndarray | None
-    algo_label: str = ""
-    seed: int = 0
 
 
-def spectral_norm_est(
-    b_mat: np.ndarray,
-    iters: int = 100,
-    tol: float = 1e-10,
-    seed: int = 0,
-    block: int = 4,
-) -> float:
-    """Largest singular value by seeded block power iteration.
+def spectral_norm_est(b_mat: np.ndarray) -> float:
+    """Largest singular value of `b_mat`, from LAPACK at any finite scale.
 
-    Works on a float64 copy scaled by the drivers' prologue, so any finite
-    scale gets an estimate and NaN or Inf raises ValueError.  A block of
-    `block` vectors is iterated on B^T B, orthonormalized by a thin QR each
-    round; the estimate is the top singular value of B X (a Ritz value),
-    tight even when the top of the spectrum is clustered.  Stops after
-    `iters` rounds or when the estimate moves by less than `tol`
-    relatively.  The defaults keep the one-sided error well below the 1e-8
-    slack of the singular-value floor checks, which matters wherever the
-    floor is attained exactly (k = 0 always is).
+    Works on a float64 copy checked and scaled by the drivers' prologue
+    (``core._scale_into_range``), so NaN or Inf or a column norm beyond
+    the double range raises ValueError, and the result is `_spectral_norm`
+    of the copy scaled back by the same power of two, which is exact.
     """
     b = np.array(b_mat, dtype=np.float64)
     e = _scale_into_range(b)
-    if not b.any():  # empty or zero
-        return 0.0
-    block = min(block, b.shape[1])
-    rng = Xoshiro256pp(seed)
-    x = rng.normals(b.shape[1] * block).reshape((-1, block), order="F")
-    est = 0.0
-    for _ in range(iters):
-        x = np.linalg.qr(x)[0]
-        bx = b @ x
-        new_est = float(svdvals(bx, check_finite=False)[0])
-        x = b.T @ bx
-        if est > 0 and abs(new_est - est) <= tol * new_est:
-            est = new_est
-            break
-        est = new_est
-    return float(np.ldexp(est, e))
+    return float(np.ldexp(_spectral_norm(b), e))
 
 
 def _spectral_norm(b_mat: np.ndarray) -> float:
@@ -112,14 +83,13 @@ def truncation_errors(
     ks,
     with_spectral: bool = False,
     sigmas=None,
-    algo_label: str = "",
-    seed: int = 0,
 ) -> QualityReport:
     """Per-k truncation errors of a packed factorization of `a_orig`.
 
     e_frob comes straight from the trailing blocks of R; e_spec (optional)
     is the largest singular value of each block, from LAPACK (`svdvals`).
-    `sigmas`, when given, supplies the per-k Eckart-Young floors.
+    `sigmas`, when given, supplies the per-k Eckart-Young floors.  Every
+    number is read off `f`; `a_orig` itself is not read.
     """
     ks = _ranks(ks)
     r_full = f.r_matrix()
@@ -142,8 +112,6 @@ def truncation_errors(
         r_diag=np.abs(np.diag(r_full)),
         sv_bound_frob=bound_frob,
         sv_bound_spec=bound_spec,
-        algo_label=algo_label,
-        seed=seed,
     )
 
 

@@ -6,7 +6,7 @@ are known by construction and can anchor approximation-error floors.  The
 third discretizes a logarithmic single-layer kernel on a closed curve
 (deterministic, ill-conditioned), and the fourth is the upper-triangular
 construction on which greedy column pivoting famously fails to reveal
-rank.
+rank.  An order `n` that is not a non-negative integer raises ValueError.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .core import _as_index
 from .householder import form_q, hqr_blk
 from .rng import Xoshiro256pp, gaussian_matrix
 
@@ -36,6 +37,7 @@ def gen_fast_decay(n: int, rng: Xoshiro256pp, beta: float = 1e-5):
 
     Returns (A, d) with d_j = beta**(j/(n-1)) for j = 0..n-1.
     """
+    n = _as_index(n, "matrix order")
     if n < 2:
         raise ValueError("need n >= 2")
     d = beta ** (np.arange(n) / (n - 1))
@@ -48,6 +50,7 @@ def gen_s_shape(n: int, rng: Xoshiro256pp):
     The profile is a logistic curve 1 / (1 + exp(40 (j - n/2) / n))
     rescaled onto [1e-6, 1].
     """
+    n = _as_index(n, "matrix order")
     if n < 4:
         raise ValueError("need n >= 4")
     j = np.arange(1, n + 1, dtype=np.float64)
@@ -66,6 +69,7 @@ def gen_bie_single_layer(n: int, amplitude: float = 0.2) -> np.ndarray:
     trapezoid arc weights w_j, and the diagonal takes the punctured-rule
     limiting value -(1/2pi) log(w_i / 2pi) w_i.  Deterministic.
     """
+    n = _as_index(n, "matrix order")
     if n < 8:
         raise ValueError("need n >= 8")
     theta = 2.0 * math.pi * np.arange(n) / n
@@ -90,6 +94,7 @@ def gen_kahan(n: int, zeta: float = 0.99999) -> np.ndarray:
     for j > i.  Every column has unit 2-norm, which is what keeps greedy
     pivoting from ever swapping.
     """
+    n = _as_index(n, "matrix order")
     if not 0.0 < zeta < 1.0:
         raise ValueError("zeta must lie strictly inside (0, 1)")
     phi = math.sqrt(1.0 - zeta * zeta)

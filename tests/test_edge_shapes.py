@@ -8,6 +8,7 @@ import pytest
 from rrqr import (
     FlopCounter,
     QRFactors,
+    QualityReport,
     Sketch,
     Xoshiro256pp,
     build_sketch,
@@ -132,6 +133,26 @@ RETIRED_CALLS = [
         lambda a: QRFactors(a, [0], [np.eye(1)], np.ones(1), np.zeros(1, dtype=np.int64)),
     ),
     ("Sketch-b-p", lambda a: Sketch(np.ones((3, 8)), np.ones((3, 6)), 2, 1)),
+    ("spectral_norm_est-b-iters", lambda a: spectral_norm_est(a, 100)),
+    *[
+        (f"spectral_norm_est-{key}=", lambda a, key=key: spectral_norm_est(a, **{key: 1}))
+        for key in ("iters", "tol", "seed", "block")
+    ],
+    (
+        "truncation_errors-algo_label-seed",
+        lambda a: truncation_errors(a, hqr_unb(a.copy(order="F")), [0], False, None, "hqr", 3),
+    ),
+    *[
+        (
+            f"truncation_errors-{key}=",
+            lambda a, key=key: truncation_errors(a, hqr_unb(a.copy(order="F")), [0], **{key: 1}),
+        )
+        for key in ("algo_label", "seed")
+    ],
+    (
+        "QualityReport-algo_label-seed",
+        lambda a: QualityReport(np.zeros(1), np.zeros(1), None, np.zeros(6), None, None, "hqr", 3),
+    ),
 ]
 
 

@@ -4,6 +4,8 @@ Expected values marked as derived were produced by the explicit oracles
 in conftest (dense H(u) products), never by the code paths under test.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -97,6 +99,27 @@ def test_housev_properties(x):
     assert np.linalg.norm(out[1:]) <= bound
 
 
+@pytest.mark.parametrize("x", [[1e308, 1.0], [1e308, 1e308], [-1e308, 1e308]])
+def test_housev_at_the_top_of_the_double_range(x):
+    # ||x|| is finite but |x_0| + ||x|| is not; H is linear, so it is
+    # applied to x / s, where its product cannot overflow
+    x = np.array(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = housev(x)
+    s = np.max(np.abs(x))
+    nrm = s * np.linalg.norm(x / s)
+    assert abs(ref.rho) == pytest.approx(nrm, rel=4 * EPS)
+    out = _apply_reflector(ref, x / s)
+    assert out[0] == pytest.approx(ref.rho / s, rel=8 * EPS)
+    assert np.linalg.norm(out[1:]) <= 8 * EPS * nrm / s
+
+
+def test_housev_rejects_a_norm_beyond_the_double_range():
+    with pytest.raises(ValueError, match="double range"):
+        housev(np.array([1.5e308, 1.5e308]))
+
+
 @pytest.mark.parametrize(
     "factor",
     [hqr_unb, lambda a: hqr_blk(a, 2), lambda a: hqr_blk(a, 4)],
@@ -144,6 +167,20 @@ def test_t_block_structure():
 def test_hqr_unb_formT_rejects_wide_panel():
     with pytest.raises(ValueError):
         hqr_unb_formT(gauss(0, 3, 5))
+
+
+@pytest.mark.parametrize("kind", ["int64", "float32", "1-D"])
+def test_hqr_unb_formT_rejects_a_panel_the_drivers_reject(kind):
+    # LAPACK's float64 factors would be cast back into the panel
+    panel = {
+        "int64": np.ones((3, 2), dtype=np.int64),
+        "float32": gauss(0, 3, 2).astype(np.float32),
+        "1-D": gauss(0, 3, 2)[:, 0].copy(),
+    }[kind]
+    before = panel.copy()
+    with pytest.raises(ValueError, match="2-D float64 array"):
+        hqr_unb_formT(panel)
+    assert np.array_equal(panel, before)
 
 
 def test_apply_block_qt_single_reflector():

@@ -142,6 +142,15 @@ def test_empty_matrix_with_values_rejected(tmp_path):
         read_matrix_market(path)
 
 
+def test_missing_values_rejected_without_warning(tmp_path):
+    path = tmp_path / "empty.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n2 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="expected 4 values, found 0"):
+            read_matrix_market(path)
+
+
 @pytest.mark.parametrize("values", ["1 2\n3 4", "1 2 3 4", "1\n2\n3 4"])
 def test_several_values_on_a_line_rejected(tmp_path, values):
     # read as one column-major stream, "1 2 / 3 4" would be [[1, 3], [2, 4]],

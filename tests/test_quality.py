@@ -112,9 +112,19 @@ def test_spectral_norm_est_degenerate():
     assert spectral_norm_est(np.zeros((0, 3))) == 0.0
 
 
+def test_spectral_norm_est_is_lapacks_top_singular_value():
+    a = gauss(9, 40, 25)
+    assert spectral_norm_est(a) == svdvals(a)[0]
+
+
+@pytest.mark.parametrize("k", [-1000, 0, 1000])
+def test_spectral_norm_est_is_exact_at_every_scale(k):
+    assert spectral_norm_est(np.diag([3.0, 2.0, 1.0]) * 2.0**k) == 3.0 * 2.0**k
+
+
 @pytest.mark.parametrize("k,s", [(-700, 1e-200), (700, 1e200)])
 def test_spectral_norm_est_scales_with_the_input(k, s):
-    # B^T B X overflows or underflows at these scales; the estimate must not
+    # squared entries overflow or underflow at these scales; the norm must not
     a = gauss(9, 40, 25)
     b = np.ldexp(a, k)
     want = np.ldexp(spectral_norm_est(a), k)
@@ -155,12 +165,10 @@ def test_eckart_young_floors_constructed_spectra(gen):
         assert np.all(rep.e_spec >= rep.sv_bound_spec * (1 - 1e-8))
 
 
-def test_report_carries_rdiag_and_labels():
+def test_report_carries_rdiag():
     a = gauss(12, 16, 16)
     f = hqrp_blk(a.copy(order="F"), 4)
-    rep = truncation_errors(a, f, [0, 4], algo_label="hqrp", seed=3)
-    assert rep.algo_label == "hqrp"
-    assert rep.seed == 3
+    rep = truncation_errors(a, f, [0, 4])
     assert len(rep.r_diag) == 16
     assert np.all(rep.r_diag >= 0)
 

@@ -113,6 +113,30 @@ def test_kahan_validates_zeta():
             gen_kahan(4, zeta=bad)
 
 
+GENERATORS = {
+    "fast-decay": lambda n: gen_fast_decay(n, Xoshiro256pp(1)),
+    "s-shape": lambda n: gen_s_shape(n, Xoshiro256pp(1)),
+    "bie": gen_bie_single_layer,
+    "kahan": gen_kahan,
+}
+
+
+@pytest.mark.parametrize("n", [2.5, -2, "8"])
+@pytest.mark.parametrize("name", GENERATORS)
+def test_generators_reject_an_order_that_is_not_a_non_negative_integer(name, n):
+    with pytest.raises(ValueError, match="matrix order"):
+        GENERATORS[name](n)
+
+
+@pytest.mark.parametrize("name", GENERATORS)
+def test_generators_take_a_numpy_integer_order(name):
+    want, got = GENERATORS[name](9), GENERATORS[name](np.int64(9))
+    if not isinstance(want, tuple):
+        want, got = (want,), (got,)
+    for w, g in zip(want, got, strict=True):
+        assert np.array_equal(w, g)
+
+
 def test_jacobi_diagonal():
     sv = jacobi_svd_values(np.diag([3.0, 1.0, 2.0]))
     assert sv.tolist() == [3.0, 2.0, 1.0]
