@@ -14,6 +14,8 @@ import operator
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from ._kernels import column_major
+
 EPS = float(np.finfo(np.float64).eps)
 
 
@@ -36,10 +38,10 @@ def check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
 #
 # Every driver checks its whole input before it changes the matrix or draws
 # from its generator, and raises ValueError the same way for anything it
-# cannot factor: a matrix that is not a writeable 2-D float64 array, or
-# holds NaN or Inf or a column norm beyond the double range; a count or
-# block size that is not a non-negative integer; a generator that is not
-# an ``Xoshiro256pp``.  Squared column norms, sketches Y = G A and
+# cannot factor: a matrix that is not a writeable, column-major 2-D
+# float64 array, or holds NaN or Inf or a column norm beyond the double
+# range; a count or block size that is not a non-negative integer; a
+# generator that is not an ``Xoshiro256pp``.  Squared column norms, sketches Y = G A and
 # trailing updates overflow or underflow long before the entries do, so
 # a matrix whose largest |entry| lies outside 2^-250..2^250 is factored
 # scaled by the power of two that brings it into [1/2, 1), which is exact,
@@ -75,12 +77,22 @@ def _check_block(b, p=0) -> tuple[int, int]:
 
 
 def _check_matrix(a) -> None:
-    """ValueError unless `a` is a writeable 2-D float64 array."""
+    """ValueError unless `a` is a writeable, column-major 2-D float64 array.
+
+    Column-major strided (``_kernels.column_major``) is what the in-place
+    BLAS and LAPACK calls of the blocked drivers address; Fortran-ordered
+    arrays and their column-block views are.
+    """
     if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == np.float64):
         got = f"{a.ndim}-D {a.dtype} array" if isinstance(a, np.ndarray) else type(a).__name__
         raise ValueError(f"input must be a 2-D float64 array, got {got}")
     if not a.flags.writeable:
         raise ValueError("input must be a writeable 2-D float64 array, got a read-only one")
+    if not column_major(a):
+        raise ValueError(
+            f"input must be a column-major (Fortran-ordered) 2-D float64 array, got strides "
+            f"{a.strides}; rrqr.as_matrix makes one"
+        )
 
 
 def _scale_into_range(a: np.ndarray) -> int:
@@ -220,7 +232,8 @@ class FlopCounter:
     bookkeeping are not.  This isolates exactly the part of the
     computation that blocked algorithms cast as high-performance kernels,
     which is what the benchmark harness compares against the standardized
-    (4/3)n^3 budget.
+    (4/3)n^3 budget.  The in-place kernels of ``_kernels`` count the
+    products and solves they stand for.
     """
 
     def __init__(self):

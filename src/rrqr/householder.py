@@ -16,7 +16,9 @@ the reflector product into the block form
     H(u_{b-1}) ... H(u_1) H(u_0) = I - U T^{-T} U^T
 
 and hence Q = I - U T^{-1} U^T.  Blocked trailing updates and Q formation
-all run through that identity.
+all run through that identity, in place, as one LAPACK dlarfb call each
+(``_kernels.larfb``) with LAPACK's block factor T^{-1}.  dlarfb reads
+only the strictly lower part of U, so the packed panel serves as it stands.
 """
 
 from __future__ import annotations
@@ -26,16 +28,15 @@ from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import qr
+from scipy.linalg import lapack, qr
 
+from ._kernels import column_major, larfb
 from .core import (
     FlopCounter,
     _as_index,
     _check_block,
     _check_matrix,
     _scale_into_range,
-    matmul,
-    solve_upper,
     trail_to_permutation,
 )
 
@@ -202,14 +203,24 @@ def hqr_unb(a: np.ndarray, fc: FlopCounter | None = None) -> QRFactors:
     return _factors(a, e, [_form_t(a, taus)])
 
 
+def _lapack_t(t: np.ndarray) -> np.ndarray:
+    """LAPACK's block factor of a T block, T^{-1}: H = I - U T^{-1} U^T."""
+    t_inv, info = lapack.dtrtri(t)
+    if info != 0:
+        raise ValueError(f"T block is singular (dtrtri info={info})")
+    return t_inv
+
+
 def apply_block_qt(
     panel: np.ndarray, t: np.ndarray, b_mat: np.ndarray, fc: FlopCounter | None = None
 ) -> None:
     """Apply the accumulated block reflector: B := (I - U T^{-1} U^T)^T B.
 
     `panel` is the packed panel holding U below its diagonal; `b_mat` must
-    have as many rows as the panel and is updated in place as
-    B -= U W with W = T^{-T} (U^T B).
+    have as many rows as the panel and is updated in place by one LAPACK
+    dlarfb call with T^{-1}.  A column-major `b_mat` takes side L; a
+    transposed one, such as the G^T that ``downdate_sketch`` passes, is
+    updated as B^T := B^T Q by side R on its column-major transpose.
     """
     width = t.shape[0]
     if panel.shape[0] != b_mat.shape[0]:
@@ -218,9 +229,11 @@ def apply_block_qt(
         raise ValueError("T order exceeds panel width")
     if width == 0 or b_mat.shape[1] == 0:
         return
-    u = _unit_lower(panel, width)
-    w = solve_upper(t, matmul(u.T, b_mat, fc), transpose=True, fc=fc)
-    b_mat -= matmul(u, w, fc)
+    v, t_lapack = panel[:, :width], _lapack_t(t)
+    if column_major(b_mat):
+        larfb("L", "T", v, t_lapack, b_mat, fc)
+    else:
+        larfb("R", "N", v, t_lapack, b_mat.T, fc)
 
 
 def hqr_blk(a: np.ndarray, b: int, fc: FlopCounter | None = None) -> QRFactors:
@@ -242,15 +255,17 @@ def hqr_blk(a: np.ndarray, b: int, fc: FlopCounter | None = None) -> QRFactors:
 
 
 def form_q(f: QRFactors, k: int, fc: FlopCounter | None = None) -> np.ndarray:
-    """First `k` columns of Q = H(u_0) H(u_1) ... H(u_{r-1})."""
+    """First `k` columns of Q = H(u_0) H(u_1) ... H(u_{r-1}).
+
+    Each panel's block reflector multiplies the rows it touches in place,
+    last panel first, by one LAPACK dlarfb call with T^{-1}.
+    """
     k = _as_index(k, "column count")
     if k > f.m:
         raise ValueError(f"cannot form {k} columns of a {f.m}-row Q")
     q = np.eye(f.m, k, order="F")
     for j, t in zip(reversed(f.panel_starts), reversed(f.t_blocks)):
         bw = t.shape[0]
-        u = _unit_lower(f.packed[j:, j : j + bw], bw)
-        rows = q[j:, :]
-        w = solve_upper(t, matmul(u.T, rows, fc), fc=fc)
-        rows -= matmul(u, w, fc)
+        if bw:
+            larfb("L", "N", f.packed[j:, j : j + bw], _lapack_t(t), q[j:, :], fc)
     return q

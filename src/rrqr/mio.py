@@ -58,7 +58,13 @@ def read_matrix_market(path) -> np.ndarray:
         m, n = int(toks[0]), int(toks[1])
         rest = fh.read()  # loadtxt warns on input without values, so none is passed
         try:
-            data = np.loadtxt(io.StringIO(rest), ndmin=2) if rest.strip() else np.empty((0, 1))
+            # Matrix Market has no `#` comments: such a line is a bad value,
+            # not one to skip (skipped, it could leave loadtxt no values)
+            data = (
+                np.loadtxt(io.StringIO(rest), ndmin=2, comments=None)
+                if rest.strip()
+                else np.empty((0, 1))
+            )
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}; expected one value per line") from None
     if data.shape[1] != 1:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import lapack
 
+from ._kernels import gemm
 from .core import (
     EPS,
     FlopCounter,
@@ -39,7 +40,6 @@ from .core import (
     _scale_into_range,
     apply_pivot_trail,
     check_finite,
-    matmul,
 )
 from .householder import QRFactors, _factors, _form_t, housev
 
@@ -253,7 +253,8 @@ def hqrp_blk(a: np.ndarray, b: int, fc: FlopCounter | None = None) -> QRFactors:
 
     Produces factors identical (to roundoff) to `hqrp_unb`, including the
     pivot trail under the shared smallest-index tie-break; only the
-    rank-b trailing updates run as matrix-matrix multiplies, and the R rows
+    rank-b trailing updates run as matrix-matrix multiplies (one in-place
+    dgemm per panel, ``_kernels.gemm``), and the R rows
     above each panel's window take its pivots through ``apply_pivot_trail``.
     An input outside the safe scale window is factored scaled by a power
     of two (module docstring).
@@ -267,7 +268,7 @@ def hqrp_blk(a: np.ndarray, b: int, fc: FlopCounter | None = None) -> QRFactors:
         bw = min(b, r - j)
         t, _, panel_trail, w = hqrp_panel_var3(a[j:, j:], bw, weights)
         apply_pivot_trail(a[:j, j:], panel_trail)
-        a[j + bw :, j + bw :] -= matmul(a[j + bw :, j : j + bw], w[:, bw:], fc)
+        gemm(a[j + bw :, j : j + bw], w[:, bw:], a[j + bw :, j + bw :], fc)
         weights.v, weights.v_orig = weights.v[bw:], weights.v_orig[bw:]
         blocks.append(t)
         trail[j : j + bw] = panel_trail + j

@@ -40,9 +40,10 @@ def spectral_norm_est(b_mat: np.ndarray) -> float:
     the double range raises ValueError, and the result is `_spectral_norm`
     of the copy scaled back by the same power of two, which is exact.
     """
-    b = np.array(b_mat, dtype=np.float64)
+    b = np.array(b_mat, dtype=np.float64, order="F")
     e = _scale_into_range(b)
-    return float(np.ldexp(_spectral_norm(b), e))
+    with np.errstate(over="ignore"):  # inf only beyond the double range
+        return float(np.ldexp(_spectral_norm(b), e))
 
 
 def _spectral_norm(b_mat: np.ndarray) -> float:

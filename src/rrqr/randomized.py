@@ -18,8 +18,9 @@ it is refreshed between panels:
 * ``downdate`` -- build one sketch of A, then keep Y current by
                   subtracting the contribution of the finished panel,
                   choosing the next randomizing matrix as G Q (one
-                  ``apply_block_qt`` on G^T) so that only thin products
-                  are needed:
+                  ``apply_block_qt`` on G^T, which runs as LAPACK dlarfb
+                  on G from the right, in place) so that only thin
+                  products are needed:
 
       Y2_new = Y2 - (G1 - (G1 U11 + G2 U21) T11^{-1} U11^T) R12,
 
@@ -37,6 +38,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ._kernels import gemm
 from .core import (
     FlopCounter,
     _as_index,
@@ -105,8 +107,11 @@ def downdate_sketch(
 
     `u_panel` is the packed panel column block (U11 over U21), `t11` its
     T accumulator and `r12` the freshly committed R rows right of the
-    panel.  Replaces G by G Q restricted to the panel's reflectors and
-    downdates the trailing part of Y.  Y's columns must already follow
+    panel.  Replaces G by G Q restricted to the panel's reflectors, in
+    place by one LAPACK dlarfb with T^{-1} (``apply_block_qt`` on G^T),
+    and downdates the trailing part of Y by one in-place dgemm,
+    Y2 -= G1 R12 (``_kernels.gemm``).  Y must be column-major, as
+    ``build_sketch`` makes it.  Y's columns must already follow
     A's column order: `hqrrp_blk` moves them with A's through
     ``core.apply_pivot_trail``.
     """
@@ -119,7 +124,7 @@ def downdate_sketch(
     if r12.shape != (bw, sk.y.shape[1] - j - bw):
         raise ValueError("R12 shape does not match the sketch partition")
     apply_block_qt(u_panel, t11, sk.g[:, j:].T, fc)  # (Q^T G^T)^T = G Q
-    sk.y[:, j + bw :] -= matmul(sk.g[:, j : j + bw], r12, fc)
+    gemm(sk.g[:, j : j + bw], r12, sk.y[:, j + bw :], fc)
     sk.col_offset = j + bw
 
 

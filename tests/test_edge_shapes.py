@@ -15,6 +15,7 @@ from rrqr import (
     compute_weights,
     downdate_sketch,
     factorization_errors,
+    frobenius_norm,
     gaussian_matrix,
     gen_fast_decay,
     hqr_blk,
@@ -195,12 +196,15 @@ def test_column_norm_overflow_rejected_before_any_draw(name, run):
     assert np.array_equal(gen.raw(4), Xoshiro256pp(1).raw(4))
 
 
-@pytest.mark.parametrize("kind", ["int64", "float32", "1-D", "3-D", "read-only"])
+@pytest.mark.parametrize(
+    "kind", ["int64", "float32", "1-D", "3-D", "read-only", "row-major", "reversed rows"]
+)
 @pytest.mark.parametrize("name,run", GEN_DRIVERS)
 def test_non_float64_matrix_rejected_before_any_draw(name, run, kind):
     # a driver factors in place, so it must not convert a copy and factor
     # that, nor factor a float32 matrix in single precision, nor start on a
-    # matrix it cannot write
+    # matrix it cannot write, nor on one that the in-place BLAS calls of
+    # the blocked drivers cannot address as column-major
     a = np.ldexp(gaussian_matrix(Xoshiro256pp(3), 5, 4), 4)
     a = {
         "int64": a.astype(np.int64),
@@ -208,6 +212,8 @@ def test_non_float64_matrix_rejected_before_any_draw(name, run, kind):
         "1-D": a[:, 0].copy(),
         "3-D": a[None].copy(),
         "read-only": a,
+        "row-major": np.ascontiguousarray(a),
+        "reversed rows": a[::-1],
     }[kind]
     a.flags.writeable = kind != "read-only"
     before = a.copy()
@@ -254,6 +260,18 @@ def test_bad_parameter_rejected_before_any_draw(run, kw):
         run(a, gen, **kw)
     assert np.array_equal(a, before)
     assert np.array_equal(gen.raw(4), Xoshiro256pp(1).raw(4))
+
+
+@pytest.mark.parametrize("name,run", DRIVERS)
+def test_column_block_view_factors_in_place(name, run):
+    # every other column of a Fortran array: column-major with a longer stride
+    a = gaussian_matrix(Xoshiro256pp(5), 9, 12)
+    view = a[:, ::2]
+    dense = view.copy(order="F")
+    f, g = run(view), run(dense)
+    assert f.packed is view
+    assert frobenius_norm(a[:, ::2] - g.packed) <= 1e-13 * frobenius_norm(g.packed)
+    assert np.array_equal(f.trail, g.trail)
 
 
 def test_spectral_norm_est_accepts_a_read_only_matrix():

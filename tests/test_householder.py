@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from rrqr import (
     EPS,
+    FlopCounter,
     QRFactors,
     apply_block_qt,
     form_q,
@@ -286,3 +287,68 @@ def test_reconstruction_and_orthogonality_bounds(m, n):
     bound = 50 * max(m, n) * EPS
     assert reconstruction_error(a, f) <= bound
     assert orthogonality_error(f) <= bound
+
+
+def _dense_q(panel, t):
+    """The panel's Q = I - U T^{-1} U^T, formed densely."""
+    u = _unit_lower(panel, t.shape[0])
+    return np.eye(panel.shape[0]) - u @ np.linalg.solve(t, u.T)
+
+
+def test_apply_block_qt_matches_the_dense_formula():
+    panel = gauss(31, 40, 9)
+    t, _ = hqr_unb_formT(panel[:, :6])  # T narrower than the panel: only 6 columns are U
+    b = gauss(32, 40, 13)
+    want = _dense_q(panel, t).T @ b
+    fc = FlopCounter()
+    apply_block_qt(panel, t, b, fc)
+    assert frobenius_norm(b - want) <= 1e-13 * frobenius_norm(want)
+    # two products and the triangular solve they stand for
+    assert fc.count == 4 * 40 * 6 * 13 + 6 * 6 * 13
+
+
+def test_apply_block_qt_on_a_transposed_target():
+    # downdate_sketch hands over G^T, whose transpose G is the column-major one
+    panel = gauss(33, 40, 8)
+    t, _ = hqr_unb_formT(panel)
+    g = gauss(34, 13, 40)
+    want = g @ _dense_q(panel, t)
+    fc = FlopCounter()
+    apply_block_qt(panel, t, g.T, fc)
+    assert frobenius_norm(g - want) <= 1e-13 * frobenius_norm(want)
+    assert fc.count == 4 * 40 * 8 * 13 + 8 * 8 * 13
+
+
+def test_apply_block_qt_zero_target_columns():
+    panel = gauss(35, 12, 3)
+    t, _ = hqr_unb_formT(panel)
+    fc = FlopCounter()
+    for b in (np.empty((12, 0), order="F"), np.empty((0, 12), order="F").T):
+        apply_block_qt(panel, t, b, fc)
+    assert fc.count == 0
+
+
+def test_apply_block_qt_rejects_a_target_blas_cannot_address():
+    panel = gauss(36, 12, 3)
+    t, _ = hqr_unb_formT(panel)
+    b = gauss(37, 24, 5)[::2]  # a row stride of 2: neither B nor B^T is column-major
+    before = b.copy()
+    with pytest.raises(ValueError, match="column-major"):
+        apply_block_qt(panel, t, b)
+    assert np.array_equal(b, before)
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 45])
+def test_form_q_matches_the_dense_panel_product(k):
+    f = hqr_blk(gauss(38, 45, 30), 8)
+    q = np.eye(45)
+    for j, t in zip(f.panel_starts, f.t_blocks):
+        step = np.eye(45)
+        step[j:, j:] = _dense_q(f.packed[j:, j : j + t.shape[0]], t)
+        q = q @ step
+    fc = FlopCounter()
+    got = form_q(f, k, fc)
+    assert got.shape == (45, k)
+    assert frobenius_norm(got - q[:, :k]) <= 1e-13 * max(1.0, frobenius_norm(q[:, :k]))
+    assert fc.count == sum(4 * (45 - j) * t.shape[0] * k + t.shape[0] ** 2 * k
+                           for j, t in zip(f.panel_starts, f.t_blocks))

@@ -151,6 +151,18 @@ def test_missing_values_rejected_without_warning(tmp_path):
             read_matrix_market(path)
 
 
+@pytest.mark.parametrize("values", ["# c", "1.0\n# c\n2.0\n3.0\n4.0"])
+def test_hash_line_is_a_bad_value_not_a_comment(tmp_path, values):
+    # Matrix Market has no `#` comments; skipped as one, a lone `# c` left
+    # loadtxt no data, and it warned before the reader's own error
+    path = tmp_path / "hash.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real general\n2 2\n{values}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="hash.mtx"):
+            read_matrix_market(path)
+
+
 @pytest.mark.parametrize("values", ["1 2\n3 4", "1 2 3 4", "1\n2\n3 4"])
 def test_several_values_on_a_line_rejected(tmp_path, values):
     # read as one column-major stream, "1 2 / 3 4" would be [[1, 3], [2, 4]],

@@ -134,6 +134,19 @@ def test_spectral_norm_est_scales_with_the_input(k, s):
     assert est == pytest.approx(3.0 * s, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spectral_norm_est_is_inf_only_beyond_the_double_range():
+    # column norms 1e308 fit, sigma_1 = 2e308 does not: inf, as frobenius_norm
+    # gives, and without an overflow warning
+    assert spectral_norm_est(np.full((4, 4), 0.5e308)) == np.inf
+    assert spectral_norm_est(np.full((2, 2), 0.5e308)) == pytest.approx(1e308, rel=1e-15)
+
+
+def test_spectral_norm_est_of_a_row_major_matrix():
+    a = gauss(9, 40, 25)
+    assert spectral_norm_est(np.ascontiguousarray(a)) == spectral_norm_est(a)
+
+
 def test_eckart_young_bound_values():
     sig = np.array([4.0, 2.0, 1.0])
     bf, bs = eckart_young_bounds(sig, [0, 1, 2, 3])
