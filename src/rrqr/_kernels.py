@@ -25,6 +25,7 @@ vectors, its two products and one triangular solve.
 from __future__ import annotations
 
 import ctypes
+import functools
 
 import numpy as np
 import scipy.linalg.cython_blas as _cython_blas
@@ -88,9 +89,26 @@ def column_major(x: np.ndarray) -> bool:
     )
 
 
-def _ld(x, what: str, target: bool = False) -> int:
-    """Leading dimension of `x`; ValueError unless BLAS can use it in place."""
-    if not (isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64):
+_FLOAT64 = np.dtype(np.float64)
+
+# BLAS takes every argument by reference, and reads, never writes, the
+# characters, integers and scalars passed here.  So each one is made
+# once and shared: characters and the two scalars at import, integers on
+# first use.  Arrays go as their data address.
+_CHAR = {c: ctypes.byref(ctypes.c_char(c.encode())) for c in "NTLRFC"}
+_MINUS_ONE = ctypes.byref(ctypes.c_double(-1.0))
+_ONE = ctypes.byref(ctypes.c_double(1.0))
+
+
+@functools.lru_cache(maxsize=4096)
+def _int(i: int):
+    return ctypes.byref(ctypes.c_int(i))
+
+
+def _operand(x, what: str, target: bool = False) -> tuple[int, int]:
+    """(data address, leading dimension) of `x`; ValueError unless BLAS can
+    use it in place."""
+    if not (isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == _FLOAT64):
         got = f"{x.ndim}-D {x.dtype} array" if isinstance(x, np.ndarray) else type(x).__name__
         raise ValueError(f"{what} must be a 2-D float64 array, got {got}")
     if target and not x.flags.writeable:
@@ -98,25 +116,13 @@ def _ld(x, what: str, target: bool = False) -> int:
     if not column_major(x):
         raise ValueError(f"{what} must be column-major strided, got strides {x.strides}")
     rows, cols = x.shape
-    return max(rows, 1, x.strides[1] // 8 if cols > 1 else 0)
-
-
-# BLAS takes every argument by reference; arrays go as their data address
-def _char(c: str):
-    return ctypes.byref(ctypes.c_char(c.encode()))
-
-
-def _int(i: int):
-    return ctypes.byref(ctypes.c_int(i))
-
-
-def _double(x: float):
-    return ctypes.byref(ctypes.c_double(x))
+    ld = max(rows, 1, x.strides[1] // 8 if cols > 1 else 0)
+    return x.ctypes.data, ld
 
 
 def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, fc=None) -> None:
     """C -= A B in place: dgemm with alpha = -1 and beta = 1."""
-    lda, ldb, ldc = _ld(a, "A"), _ld(b, "B"), _ld(c, "C", target=True)
+    (pa, lda), (pb, ldb), (pc, ldc) = _operand(a, "A"), _operand(b, "B"), _operand(c, "C", True)
     (m, k), n = a.shape, b.shape[1]
     if b.shape[0] != k or c.shape != (m, n):
         raise ValueError(f"C {c.shape} -= A {a.shape} B {b.shape}: shapes do not match")
@@ -125,9 +131,8 @@ def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, fc=None) -> None:
     if m == 0 or n == 0 or k == 0:
         return
     _dgemm(
-        _char("N"), _char("N"), _int(m), _int(n), _int(k), _double(-1.0),
-        a.ctypes.data, _int(lda), b.ctypes.data, _int(ldb), _double(1.0), c.ctypes.data,
-        _int(ldc),
+        _CHAR["N"], _CHAR["N"], _int(m), _int(n), _int(k), _MINUS_ONE, pa, _int(lda), pb,
+        _int(ldb), _ONE, pc, _int(ldc),
     )  # fmt: skip
 
 
@@ -142,7 +147,7 @@ def larfb(side: str, trans: str, v: np.ndarray, t: np.ndarray, c: np.ndarray, fc
     """
     if side not in ("L", "R") or trans not in ("N", "T"):
         raise ValueError(f"side must be 'L' or 'R' and trans 'N' or 'T', got {side!r}, {trans!r}")
-    ldv, ldt, ldc = _ld(v, "V"), _ld(t, "T"), _ld(c, "C", target=True)
+    (pv, ldv), (pt, ldt), (pc, ldc) = _operand(v, "V"), _operand(t, "T"), _operand(c, "C", True)
     length, k = v.shape
     along, n = c.shape if side == "L" else c.shape[::-1]
     if t.shape != (k, k) or along != length or length < k:
@@ -153,7 +158,6 @@ def larfb(side: str, trans: str, v: np.ndarray, t: np.ndarray, c: np.ndarray, fc
         return
     work = np.empty((n, k), order="F")
     _dlarfb(
-        _char(side), _char(trans), _char("F"), _char("C"), _int(c.shape[0]), _int(c.shape[1]),
-        _int(k), v.ctypes.data, _int(ldv), t.ctypes.data, _int(ldt), c.ctypes.data, _int(ldc),
-        work.ctypes.data, _int(n),
+        _CHAR[side], _CHAR[trans], _CHAR["F"], _CHAR["C"], _int(c.shape[0]), _int(c.shape[1]),
+        _int(k), pv, _int(ldv), pt, _int(ldt), pc, _int(ldc), work.ctypes.data, _int(n),
     )  # fmt: skip

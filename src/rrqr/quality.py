@@ -9,6 +9,16 @@ so the whole error curve is read off the packed factor directly.  When
 the singular values of A are known, the Eckart-Young bounds
 sigma_{k+1} (spectral) and sqrt(sum_{j>k} sigma_j^2) (Frobenius) are
 attached as per-k floors.
+
+R is upper triangular, so its block R(k:, k:) holds the whole of rows
+k, k+1, ... of R, and e_k^2 (Frobenius) is the tail sum of R's squared
+row norms from row k on.  One pass over R gives those row norms, and one
+reverse cumulative sum gives every e_k, for any ranks in any order; the
+Frobenius floors are the same tail sums of sigma_j^2.  The squares
+overflow above about 1e154 and lose digits below about 1e-154, so a tail
+norm is kept only where it lies well inside the double range, the rule
+of ``core.frobenius_norm``; any other one is taken by ``frobenius_norm``
+itself, which scales its block by a power of two.
 """
 
 from __future__ import annotations
@@ -63,17 +73,37 @@ def _ranks(ks) -> np.ndarray:
     return np.array([_as_index(k, "truncation rank") for k in ks], dtype=np.int64)
 
 
+def _tail_norms(squares: np.ndarray, ks: np.ndarray, exact) -> np.ndarray:
+    """sqrt(sum(squares[k:])) for each k in `ks`, all from one reverse cumulative sum.
+
+    A result is kept where it lies well inside the double range, as
+    ``frobenius_norm`` keeps its own; `exact(k)` gives the others.  Every
+    k must lie in [0, len(squares)].
+    """
+    tails = np.zeros(len(squares) + 1)
+    with np.errstate(over="ignore"):  # an overflowed tail is taken exactly
+        tails[:-1] = np.cumsum(squares[::-1])[::-1]
+    out = np.sqrt(tails[ks])
+    for i in np.flatnonzero(~((2.0**-500 < out) & (out < 2.0**500))):
+        out[i] = exact(ks[i])
+    return out
+
+
 def eckart_young_bounds(sigmas: np.ndarray, ks) -> tuple[np.ndarray, np.ndarray]:
     """(Frobenius, spectral) lower bounds for each truncation rank in `ks`.
 
-    The Frobenius floor of rank k is ``frobenius_norm(sigmas[k:])``, the
-    same scale-safe norm as the error it bounds, and the spectral floor is
-    sigmas[k]; both are 0 past the end.  A rank that is negative or not an
-    integer raises ValueError.
+    The Frobenius floor of rank k is the norm of sigmas[k:], a tail sum of
+    squares under the same range rule as the errors it bounds, and the
+    spectral floor is sigmas[k]; both are 0 past the end.  A rank that is
+    negative or not an integer raises ValueError.
     """
     sigmas = np.asarray(sigmas, dtype=np.float64)
     ks = _ranks(ks)
-    bound_frob = np.array([frobenius_norm(sigmas[k:]) for k in ks])
+    with np.errstate(over="ignore"):
+        squares = np.square(sigmas)
+    bound_frob = _tail_norms(
+        squares, np.minimum(ks, len(sigmas)), lambda k: frobenius_norm(sigmas[k:])
+    )
     bound_spec = np.array([sigmas[k] if k < len(sigmas) else 0.0 for k in ks])
     return bound_frob, bound_spec
 
@@ -87,17 +117,20 @@ def truncation_errors(
 ) -> QualityReport:
     """Per-k truncation errors of a packed factorization of `a_orig`.
 
-    e_frob comes straight from the trailing blocks of R; e_spec (optional)
-    is the largest singular value of each block, from LAPACK (`svdvals`).
-    `sigmas`, when given, supplies the per-k Eckart-Young floors.  Every
-    number is read off `f`; `a_orig` itself is not read.
+    e_frob comes from tail sums of R's squared row norms (see the module
+    docstring); e_spec (optional) is the largest singular value of each
+    trailing block of R, from LAPACK (`svdvals`).  `sigmas`, when given,
+    supplies the per-k Eckart-Young floors.  Every number is read off
+    `f`; `a_orig` itself is not read.
     """
     ks = _ranks(ks)
     r_full = f.r_matrix()
     r = f.r
     if np.any(ks > r):
         raise ValueError(f"truncation ranks must lie in [0, {r}]")
-    e_frob = np.array([frobenius_norm(r_full[k:, k:]) for k in ks])
+    with np.errstate(over="ignore"):
+        row_squares = np.einsum("ij,ij->i", r_full, r_full)
+    e_frob = _tail_norms(row_squares, ks, lambda k: frobenius_norm(r_full[k:, k:]))
     e_spec = (
         np.array([_spectral_norm(r_full[k:, k:]) for k in ks])
         if with_spectral
@@ -110,7 +143,7 @@ def truncation_errors(
         ks=ks,
         e_frob=e_frob,
         e_spec=e_spec,
-        r_diag=np.abs(np.diag(r_full)),
+        r_diag=np.abs(np.diagonal(f.packed)[:r]),
         sv_bound_frob=bound_frob,
         sv_bound_spec=bound_spec,
     )

@@ -31,9 +31,10 @@ xoshiro256 transition is linear over GF(2) (Blackman & Vigna, ACM TOMS
 matrix (jump-ahead, Haramoto et al., INFORMS J. Comput. 2008).  Starting
 from one state, each doubling advances every start state found so far by
 their number times L, so K start states take log2(K) products.  The
-matrices are built by repeated squaring and cached bit-packed, 8 KB per
-power of two.  Requests longer than ``_CHUNK`` words run in several such
-passes.
+matrices are built by repeated squaring and cached as tables of the XORs
+of each group of four rows, 32 KB per power of two, so a product is one
+table lookup per four bits of the state.  Requests longer than
+``_CHUNK`` words run in several such passes.
 """
 
 from __future__ import annotations
@@ -48,10 +49,11 @@ from .core import _as_index, _as_integer
 _MASK = (1 << 64) - 1
 
 # Shortest request the lane generator fills.  Measured on one core of a
-# 2-vCPU x86-64 host: at 512 words it and the scalar loop both take about
-# 0.35 ms, at 1024 words 0.47 ms against 0.68 ms, and at 65536 words
-# 4 ms against 70 ms.
-_LANE_MIN = 1024
+# 2-vCPU x86-64 host, best of 600 draws with the jump tables built: at
+# 256 words it and the scalar loop both take 0.15 ms, at 320 words
+# 0.18 ms against 0.19 ms, at 1024 words 0.27 ms against 0.62 ms, and at
+# 65536 words 2.6 ms against 43 ms.
+_LANE_MIN = 320
 # Most words one lane pass fills.  Its arrays, 24 bytes a word, then stay
 # near 1.5 MB whatever the request.
 _CHUNK = 1 << 16
@@ -116,11 +118,13 @@ def _step_lanes(s1, s2, h0, h3, t):
 
 @functools.cache
 def _jump(e):
-    """Bit-packed matrix of 2^e steps (read-only, shared).
+    """XOR table of the bit matrix of 2^e steps (read-only, shared).
 
-    Row i is the state that the state with only bit i set reaches after
-    2^e steps, where bit i is bit i % 8 of byte i // 8 of the state's
-    four words in memory.
+    Row i of the matrix is the state that the state with only bit i set
+    reaches after 2^e steps, where bit i is bit i % 8 of byte i // 8 of
+    the state's four words in memory.  Entry [g, j] of the table is the
+    XOR of the rows 4g + i for the bits i set in j, so entry [g, 1 << i]
+    is row 4g + i itself.
     """
     if e == 0:
         eye = np.eye(256, dtype=np.uint8)
@@ -130,9 +134,13 @@ def _jump(e):
         _step_lanes(basis[1], basis[2], h0, h3, np.empty(256, dtype=np.uint64))
         m = np.stack([h0[1], basis[1], basis[2], h3[1]], axis=1)
     else:
-        m = _advance(_jump(e - 1), e - 1)
-    m.flags.writeable = False
-    return m
+        m = _advance(_jump(e - 1)[:, [1, 2, 4, 8]].reshape(256, 4), e - 1)
+    rows = m.reshape(64, 4, 4)
+    table = np.zeros((64, 16, 4), dtype=np.uint64)
+    for i in range(4):
+        np.bitwise_xor(table[:, : 1 << i], rows[:, i, None], out=table[:, 1 << i : 2 << i])
+    table.flags.writeable = False
+    return table
 
 
 _NIBBLES = np.arange(64)
@@ -142,18 +150,13 @@ def _advance(states, e):
     """(K, 4) states, each advanced 2^e steps.
 
     The product with the bit matrix over GF(2) is an XOR of its rows,
-    taken four bits at a time from tables of the 16 XORs of each group of
-    four rows.
+    taken four bits at a time from the table of `_jump(e)`.
     """
-    rows = _jump(e).reshape(64, 4, 4)
-    table = np.zeros((64, 16, 4), dtype=np.uint64)
-    for i in range(4):
-        np.bitwise_xor(table[:, : 1 << i], rows[:, i, None], out=table[:, 1 << i : 2 << i])
     octets = states.view(np.uint8)
     nibbles = np.empty((len(states), 64), dtype=np.uint8)
     np.bitwise_and(octets, 15, out=nibbles[:, 0::2])
     np.right_shift(octets, 4, out=nibbles[:, 1::2])
-    return np.bitwise_xor.reduce(table[_NIBBLES, nibbles], axis=1)
+    return np.bitwise_xor.reduce(_jump(e)[_NIBBLES, nibbles], axis=1)
 
 
 def _fill_lanes(state, out):

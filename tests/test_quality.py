@@ -8,6 +8,7 @@ import rrqr.cli
 import rrqr.quality
 import rrqr.testmats
 from rrqr import (
+    QRFactors,
     Xoshiro256pp,
     EPS,
     eckart_young_bounds,
@@ -15,10 +16,12 @@ from rrqr import (
     form_q,
     frobenius_norm,
     gen_fast_decay,
+    gen_kahan,
     gen_s_shape,
     hqr_blk,
     hqr_unb,
     hqrp_blk,
+    hqrp_unb,
     hqrrp_blk,
     jacobi_svd_values,
     spectral_norm_est,
@@ -184,6 +187,12 @@ def test_report_carries_rdiag():
     rep = truncation_errors(a, f, [0, 4])
     assert len(rep.r_diag) == 16
     assert np.all(rep.r_diag >= 0)
+    # a partial factorization has r_kk only for its r steps
+    a = gauss(12, 20, 12)
+    f = hqrp_unb(a.copy(order="F"), steps=5)
+    rep = truncation_errors(a, f, [0])
+    assert np.array_equal(rep.r_diag, np.abs(np.diag(f.r_matrix())))
+    assert len(rep.r_diag) == 5
 
 
 SCALED_FACTORIZATIONS = {
@@ -231,3 +240,128 @@ def test_floors_near_overflow_are_finite():
     assert np.all(np.isfinite(bf))
     assert bf == pytest.approx(np.ldexp(ref_f, 1020), rel=1e-14, abs=0.0)
     assert np.array_equal(bs, np.ldexp(ref_s, 1020))
+
+
+# e_k and the Frobenius floors are tail sums of squares (R's row norms,
+# sigma_j^2), kept where they lie well inside the double range; each must
+# agree with the scale-safe norm of its own block.
+
+TAIL_DRIVERS = {
+    "hqr_blk": lambda x: hqr_blk(x, 8),
+    "hqrp_blk": lambda x: hqrp_blk(x, 8),
+    "hqrrp": lambda x: hqrrp_blk(x, 8, Xoshiro256pp(5), p=3),
+}
+TAIL_INPUTS = {
+    "tall": lambda: gauss(21, 70, 40),
+    "wide": lambda: gauss(22, 40, 70),
+    "fast-decay": lambda: gen_fast_decay(48, Xoshiro256pp(23))[0],
+    "kahan": lambda: np.asfortranarray(gen_kahan(48)),
+}
+
+
+def _block_norms(f, ks):
+    r = f.r_matrix()
+    return np.array([frobenius_norm(r[k:, k:]) for k in ks])
+
+
+@pytest.mark.parametrize("kind", TAIL_INPUTS)
+@pytest.mark.parametrize("driver", TAIL_DRIVERS)
+def test_tail_sums_match_the_block_norms_at_every_rank(driver, kind):
+    a = TAIL_INPUTS[kind]()
+    f = TAIL_DRIVERS[driver](a.copy(order="F"))
+    ks = list(range(f.r + 1))
+    e = truncation_errors(a, f, ks).e_frob
+    assert e == pytest.approx(_block_norms(f, ks), rel=1e-14, abs=0.0)
+    assert e[-1] == 0.0
+
+
+def test_exactly_zero_tails_give_exactly_zero():
+    # rank 5: hqrp moves the three zero columns last, and the reflectors
+    # leave them exactly zero
+    a = np.asfortranarray(np.hstack([gauss(24, 30, 5), np.zeros((30, 3))]))
+    f = hqrp_blk(a.copy(order="F"), 4)
+    e = truncation_errors(a, f, range(9)).e_frob
+    assert e[:5] == pytest.approx(_block_norms(f, range(5)), rel=1e-14, abs=0.0)
+    assert e[5:].tolist() == [0.0] * 4
+
+
+def test_tail_sums_of_a_partial_factorization():
+    a = gauss(25, 30, 20)
+    f = hqrp_unb(a.copy(order="F"), steps=7)
+    assert f.r == 7
+    e = truncation_errors(a, f, range(8)).e_frob
+    assert e == pytest.approx(_block_norms(f, range(8)), rel=1e-14, abs=0.0)
+
+
+def test_a_curve_takes_both_paths_when_rows_span_the_double_range(monkeypatch):
+    # R's rows run from 2^600 down to 2^-600: the first and last tail sums of
+    # squares overflow or underflow, so those ranks take frobenius_norm;
+    # the middle ones stay on the tail sums
+    n = 48
+    scales = np.ldexp(1.0, np.linspace(600, -600, n).astype(int))
+    r = np.triu(gauss(26, n, n)) * scales[:, None]
+    f = QRFactors(np.asfortranarray(r), [np.zeros((n, n))])
+    ks = list(range(n + 1))
+    exact = []
+    block_norm = rrqr.quality.frobenius_norm
+
+    def counted(x):
+        exact.append(x.shape[0])
+        return block_norm(x)
+
+    monkeypatch.setattr(rrqr.quality, "frobenius_norm", counted)
+    e = truncation_errors(r, f, ks).e_frob
+    want = _block_norms(f, ks)
+    assert np.all(np.isfinite(e)) and np.all(e[:-1] > 0)
+    assert e == pytest.approx(want, rel=1e-14, abs=0.0)
+    taken = [n - rows for rows in exact]
+    assert 0 in taken and n - 1 in taken  # both ends are taken exactly
+    assert 0 < len(taken) < n // 2  # and the middle off the tail sums
+
+
+def test_unsorted_and_repeated_ranks():
+    a = gauss(27, 30, 24)
+    f = hqrp_blk(a.copy(order="F"), 8)
+    ks = [24, 3, 17, 3, 0, 24, 9]
+    rep = truncation_errors(a, f, ks)
+    assert rep.ks.tolist() == ks
+    assert rep.e_frob == pytest.approx(_block_norms(f, ks), rel=1e-14, abs=0.0)
+    assert rep.e_frob[0] == rep.e_frob[5] == 0.0
+    assert rep.e_frob[1] == rep.e_frob[3]
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
+def test_tail_sums_of_an_empty_factor(shape):
+    a = np.zeros(shape, order="F")
+    f = hqr_blk(a.copy(order="F"), 4)
+    rep = truncation_errors(a, f, [0], sigmas=np.empty(0))
+    assert rep.e_frob.tolist() == [0.0]
+    assert rep.sv_bound_frob.tolist() == [0.0]
+    assert rep.r_diag.shape == (0,)
+
+
+@pytest.mark.parametrize("top", [0, 600, -600])
+def test_floors_match_the_norms_of_the_sigma_tails(top):
+    # at top = +-600 the sums of squares overflow or underflow at one end
+    sig = np.ldexp(svdvals(gauss(28, 40, 40)), top)
+    sig[-10:] = np.ldexp(sig[-10:], -2 * top)
+    ks = [0, 40, 5, 41, 31, 5, 39, 100]
+    bf, _ = eckart_young_bounds(sig, ks)
+    want = [frobenius_norm(sig[k:]) for k in ks]
+    assert bf == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert bf[1] == bf[3] == bf[7] == 0.0
+
+
+def test_in_range_curves_make_no_per_rank_norm_call(monkeypatch):
+    def no_block_norms(x):
+        raise AssertionError("a per-rank frobenius_norm call")
+
+    a, sig = gen_fast_decay(64, Xoshiro256pp(29))
+    f = hqrp_blk(a.copy(order="F"), 16)
+    ks = list(range(0, 64, 4))
+    want = truncation_errors(a, f, ks, sigmas=sig)
+    monkeypatch.setattr(rrqr.quality, "frobenius_norm", no_block_norms)
+    rep = truncation_errors(a, f, ks, sigmas=sig)
+    assert np.array_equal(rep.e_frob, want.e_frob)
+    assert np.array_equal(rep.sv_bound_frob, want.sv_bound_frob)
+
