@@ -76,6 +76,10 @@ LANE_SIZES = [
     CROSSOVER - 1,
     CROSSOVER,
     CROSSOVER + 1,
+    # the crossover of earlier versions, kept as a mid-size lane case
+    1023,
+    1024,
+    1025,
     LANE - 1,
     LANE,
     LANE + 1,
