@@ -11,10 +11,10 @@ ctypes passes raw pointers and leading dimensions, so a view that BLAS
 cannot address would corrupt memory instead of raising.  Each capsule's
 signature string is therefore checked at import (LP64 ``int *`` integer
 arguments, anything else raises ImportError), and each call checks its
-arrays before it runs: 2-D float64, column-major strided (``column_major``),
-the target writeable, the shapes consistent.  A bad view raises
-ValueError before anything is written.  Operands must not overlap the
-target, which BLAS assumes and nothing here checks.
+arrays by ``check_operand``, the rule the drivers' prologue applies to
+its input too, and their shapes.  A bad view raises ValueError before
+anything is written.  Operands must not overlap the target, which BLAS
+assumes and nothing here checks.
 
 Each wrapper adds the level-3 flops of the products it stands for to an
 optional ``core.FlopCounter``: 2 m k n for an m x k times k x n product,
@@ -105,16 +105,24 @@ def _int(i: int):
     return ctypes.byref(ctypes.c_int(i))
 
 
-def _operand(x, what: str, target: bool = False) -> tuple[int, int]:
-    """(data address, leading dimension) of `x`; ValueError unless BLAS can
-    use it in place."""
+def check_operand(x, what: str, written: bool) -> None:
+    """ValueError, naming `what`, unless BLAS can work on `x` in place: a
+    2-D float64 ndarray, writeable if it is `written`, and ``column_major``."""
     if not (isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == _FLOAT64):
         got = f"{x.ndim}-D {x.dtype} array" if isinstance(x, np.ndarray) else type(x).__name__
         raise ValueError(f"{what} must be a 2-D float64 array, got {got}")
-    if target and not x.flags.writeable:
-        raise ValueError(f"{what} must be writeable")
+    if written and not x.flags.writeable:
+        raise ValueError(f"{what} must be a writeable 2-D float64 array, got a read-only one")
     if not column_major(x):
-        raise ValueError(f"{what} must be column-major strided, got strides {x.strides}")
+        raise ValueError(
+            f"{what} must be a column-major (Fortran-ordered) 2-D float64 array, got strides "
+            f"{x.strides}; rrqr.as_matrix makes one"
+        )
+
+
+def _operand(x, what: str, written: bool = False) -> tuple[int, int]:
+    """(data address, leading dimension) of `x`, after ``check_operand``."""
+    check_operand(x, what, written)
     rows, cols = x.shape
     ld = max(rows, 1, x.strides[1] // 8 if cols > 1 else 0)
     return x.ctypes.data, ld

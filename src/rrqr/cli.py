@@ -62,7 +62,7 @@ def _make_matrix(args):
 def _run_algo(algo, work, b, p, seed, fc=None):
     """Factor `work` in place with the named algorithm."""
     if algo == "hqr":
-        return hqr_unb(work, fc)
+        return hqr_unb(work)
     if algo == "hqr-blk":
         return hqr_blk(work, b, fc)
     if algo == "hqrp":

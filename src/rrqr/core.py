@@ -14,7 +14,7 @@ import operator
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ._kernels import column_major
+from ._kernels import check_operand
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -38,10 +38,11 @@ def check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
 #
 # Every driver checks its whole input before it changes the matrix or draws
 # from its generator, and raises ValueError the same way for anything it
-# cannot factor: a matrix that is not a writeable, column-major 2-D
-# float64 array, or holds NaN or Inf or a column norm beyond the double
-# range; a count or block size that is not a non-negative integer; a
-# generator that is not an ``Xoshiro256pp``.  Squared column norms, sketches Y = G A and
+# cannot factor: a matrix that BLAS cannot change in place (the rule of
+# ``_kernels.check_operand``, which every kernel call applies too), or one
+# that holds NaN or Inf or a column norm beyond the double range; a count
+# or block size that is not a non-negative integer; a generator that is
+# not an ``Xoshiro256pp``.  Squared column norms, sketches Y = G A and
 # trailing updates overflow or underflow long before the entries do, so
 # a matrix whose largest |entry| lies outside 2^-250..2^250 is factored
 # scaled by the power of two that brings it into [1/2, 1), which is exact,
@@ -76,34 +77,16 @@ def _check_block(b, p=0) -> tuple[int, int]:
     return b, p
 
 
-def _check_matrix(a) -> None:
-    """ValueError unless `a` is a writeable, column-major 2-D float64 array.
-
-    Column-major strided (``_kernels.column_major``) is what the in-place
-    BLAS and LAPACK calls of the blocked drivers address; Fortran-ordered
-    arrays and their column-block views are.
-    """
-    if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == np.float64):
-        got = f"{a.ndim}-D {a.dtype} array" if isinstance(a, np.ndarray) else type(a).__name__
-        raise ValueError(f"input must be a 2-D float64 array, got {got}")
-    if not a.flags.writeable:
-        raise ValueError("input must be a writeable 2-D float64 array, got a read-only one")
-    if not column_major(a):
-        raise ValueError(
-            f"input must be a column-major (Fortran-ordered) 2-D float64 array, got strides "
-            f"{a.strides}; rrqr.as_matrix makes one"
-        )
-
-
 def _scale_into_range(a: np.ndarray) -> int:
     """Check a driver's input and scale it in place by 2^-e; returns e.
 
-    Raises ValueError, with `a` untouched, when `a` fails `_check_matrix`,
-    or holds NaN or Inf or a column whose 2-norm exceeds the double range.
-    Returns 0 without touching `a` when its largest |entry| is zero or
-    already lies within 2^-_SAFE_EXPONENT..2^_SAFE_EXPONENT.
+    Raises ValueError, with `a` untouched, when BLAS cannot change `a` in
+    place (``_kernels.check_operand``), or `a` holds NaN or Inf or a column
+    whose 2-norm exceeds the double range.  Returns 0 without touching `a`
+    when its largest |entry| is zero or already lies within
+    2^-_SAFE_EXPONENT..2^_SAFE_EXPONENT.
     """
-    _check_matrix(a)
+    check_operand(a, "input", written=True)
     hi = float(a.max(initial=0.0))
     lo = float(a.min(initial=0.0))
     if not (np.isfinite(hi) and np.isfinite(lo)):  # max and min propagate NaN
@@ -121,17 +104,25 @@ def _scale_into_range(a: np.ndarray) -> int:
     return e
 
 
+def _norm_in_range(nrm):
+    """Whether a root of a sum of squares lies in (2^-500, 2^500), elementwise.
+
+    The squares overflow above about 1e154 and underflow below about
+    1e-154, so only a norm well inside the double range is kept.
+    """
+    return (2.0**-500 < nrm) & (nrm < 2.0**500)
+
+
 def frobenius_norm(a) -> float:
     """||a||_F at any finite scale.
 
-    ``np.linalg.norm`` sums squared entries, which overflow above about
-    1e154 and underflow below about 1e-154; its result is kept only where
-    it lies well inside the double range.  Otherwise `a` is first divided
-    by the power of two at its largest |entry| and the norm scaled back, both exact.
+    ``np.linalg.norm`` sums squared entries; its result is kept where
+    ``_norm_in_range`` holds.  Otherwise `a` is first divided by the power
+    of two at its largest |entry| and the norm scaled back, both exact.
     """
     with np.errstate(over="ignore"):
         nrm = float(np.linalg.norm(a))
-    if 2.0**-500 < nrm < 2.0**500:
+    if _norm_in_range(nrm):
         return nrm
     amax = float(np.max(np.abs(a), initial=0.0))
     if not 0.0 < amax < np.inf:
@@ -246,9 +237,9 @@ class FlopCounter:
 def matmul(a: np.ndarray, b: np.ndarray, fc: FlopCounter | None = None) -> np.ndarray:
     """a @ b, counted as a level-3 product when `fc` is given.
 
-    The product is returned in column-major order, as the blocks it is
-    subtracted from are stored; a row-major result would make that
-    subtraction walk memory transposed.
+    The product is returned in column-major order: ``build_sketch`` makes
+    Y with it, and ``downdate_sketch`` downdates Y in place by BLAS dgemm,
+    which rejects a row-major Y (``_kernels.check_operand``).
     """
     if fc is not None:
         fc.add(2 * a.shape[0] * a.shape[1] * b.shape[1])

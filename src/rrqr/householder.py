@@ -30,15 +30,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lapack, qr
 
-from ._kernels import column_major, larfb
-from .core import (
-    FlopCounter,
-    _as_index,
-    _check_block,
-    _check_matrix,
-    _scale_into_range,
-    trail_to_permutation,
-)
+from ._kernels import check_operand, larfb
+from .core import FlopCounter, _as_index, _check_block, _scale_into_range, trail_to_permutation
 
 
 class Reflector(NamedTuple):
@@ -180,11 +173,11 @@ def hqr_unb_formT(panel: np.ndarray):
     """Unblocked panel factorization by LAPACK; returns (T, taus).
 
     The panel is overwritten with R and the reflector tails, and T is
-    formed from the finished panel.  A panel that is not a writeable 2-D
-    float64 array raises the drivers' ValueError (``core._check_matrix``)
-    before anything is written.
+    formed from the finished panel.  A panel that BLAS cannot change in
+    place raises ValueError before anything is written, as a driver's
+    input does (``_kernels.check_operand``).
     """
-    _check_matrix(panel)
+    check_operand(panel, "panel", written=True)
     h, w = panel.shape
     if w > h:
         raise ValueError(f"panel must have at most as many columns as rows ({h}x{w})")
@@ -192,7 +185,7 @@ def hqr_unb_formT(panel: np.ndarray):
     return _form_t(panel, taus), taus
 
 
-def hqr_unb(a: np.ndarray, fc: FlopCounter | None = None) -> QRFactors:
+def hqr_unb(a: np.ndarray) -> QRFactors:
     """Unblocked HQR of any shape by LAPACK dgeqrf, in place, with one T block.
 
     An input outside the safe scale window is factored scaled by a power
@@ -218,9 +211,8 @@ def apply_block_qt(
 
     `panel` is the packed panel holding U below its diagonal; `b_mat` must
     have as many rows as the panel and is updated in place by one LAPACK
-    dlarfb call with T^{-1}.  A column-major `b_mat` takes side L; a
-    transposed one, such as the G^T that ``downdate_sketch`` passes, is
-    updated as B^T := B^T Q by side R on its column-major transpose.
+    dlarfb call with T^{-1}, so a `b_mat` that BLAS cannot change in place
+    raises ValueError unchanged (``_kernels.check_operand``).
     """
     width = t.shape[0]
     if panel.shape[0] != b_mat.shape[0]:
@@ -229,11 +221,7 @@ def apply_block_qt(
         raise ValueError("T order exceeds panel width")
     if width == 0 or b_mat.shape[1] == 0:
         return
-    v, t_lapack = panel[:, :width], _lapack_t(t)
-    if column_major(b_mat):
-        larfb("L", "T", v, t_lapack, b_mat, fc)
-    else:
-        larfb("R", "N", v, t_lapack, b_mat.T, fc)
+    larfb("L", "T", panel[:, :width], _lapack_t(t), b_mat, fc)
 
 
 def hqr_blk(a: np.ndarray, b: int, fc: FlopCounter | None = None) -> QRFactors:

@@ -173,18 +173,12 @@ def _var1_engine(a: np.ndarray, nsteps: int, weights: WeightVector, step_hook=No
     return taus, trail
 
 
-def hqrp_unb(
-    a: np.ndarray,
-    steps: int | None = None,
-    fc: FlopCounter | None = None,
-    step_hook=None,
-) -> QRFactors:
+def hqrp_unb(a: np.ndarray, steps: int | None = None, *, step_hook=None) -> QRFactors:
     """Classical column-pivoted Householder QR, full trailing updates.
 
-    Stops after `steps` steps when given, a non-negative integer.  No step
-    is a level-3 kernel, so `fc` counts nothing.  An input outside the
-    safe scale window is factored scaled by a power of two (module
-    docstring), and `step_hook` sees it scaled.
+    Stops after `steps` steps when given, a non-negative integer.  An
+    input outside the safe scale window is factored scaled by a power of
+    two (module docstring), and `step_hook` sees it scaled.
     """
     if steps is not None:
         steps = _as_index(steps, "steps")

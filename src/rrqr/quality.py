@@ -14,11 +14,10 @@ R is upper triangular, so its block R(k:, k:) holds the whole of rows
 k, k+1, ... of R, and e_k^2 (Frobenius) is the tail sum of R's squared
 row norms from row k on.  One pass over R gives those row norms, and one
 reverse cumulative sum gives every e_k, for any ranks in any order; the
-Frobenius floors are the same tail sums of sigma_j^2.  The squares
-overflow above about 1e154 and lose digits below about 1e-154, so a tail
-norm is kept only where it lies well inside the double range, the rule
-of ``core.frobenius_norm``; any other one is taken by ``frobenius_norm``
-itself, which scales its block by a power of two.
+Frobenius floors are the same tail sums of sigma_j^2.  A tail norm is
+kept where it lies inside ``core._norm_in_range``'s window, as
+``core.frobenius_norm`` keeps its own; any other one is taken by
+``frobenius_norm`` itself, which scales its block by a power of two.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import svdvals
 
-from .core import _as_index, _scale_into_range, frobenius_norm, trail_to_permutation
+from .core import _as_index, _norm_in_range, _scale_into_range, frobenius_norm
 from .householder import QRFactors, form_q
 
 
@@ -76,7 +75,7 @@ def _ranks(ks) -> np.ndarray:
 def _tail_norms(squares: np.ndarray, ks: np.ndarray, exact) -> np.ndarray:
     """sqrt(sum(squares[k:])) for each k in `ks`, all from one reverse cumulative sum.
 
-    A result is kept where it lies well inside the double range, as
+    A result is kept where ``core._norm_in_range`` holds, as
     ``frobenius_norm`` keeps its own; `exact(k)` gives the others.  Every
     k must lie in [0, len(squares)].
     """
@@ -84,7 +83,7 @@ def _tail_norms(squares: np.ndarray, ks: np.ndarray, exact) -> np.ndarray:
     with np.errstate(over="ignore"):  # an overflowed tail is taken exactly
         tails[:-1] = np.cumsum(squares[::-1])[::-1]
     out = np.sqrt(tails[ks])
-    for i in np.flatnonzero(~((2.0**-500 < out) & (out < 2.0**500))):
+    for i in np.flatnonzero(~_norm_in_range(out)):
         out[i] = exact(ks[i])
     return out
 
@@ -157,9 +156,8 @@ def factorization_errors(a_orig: np.ndarray, f: QRFactors) -> tuple[float, float
     after dividing by the power of two at A's largest |entry|, which is
     exact and keeps ||A||_F finite up to the top of the double range.
     """
-    perm = trail_to_permutation(f.trail, f.n)
     q = form_q(f, f.r)
-    resid = q @ f.r_matrix() - a_orig[:, perm]
+    resid = q @ f.r_matrix() - a_orig[:, f.permutation()]
     e = int(np.frexp(np.max(np.abs(a_orig), initial=0.0))[1])
     denom = frobenius_norm(np.ldexp(a_orig, -e))
     np.ldexp(resid, -e, out=resid)

@@ -18,9 +18,8 @@ it is refreshed between panels:
 * ``downdate`` -- build one sketch of A, then keep Y current by
                   subtracting the contribution of the finished panel,
                   choosing the next randomizing matrix as G Q (one
-                  ``apply_block_qt`` on G^T, which runs as LAPACK dlarfb
-                  on G from the right, in place) so that only thin
-                  products are needed:
+                  LAPACK dlarfb on G from the right, in place) so that
+                  only thin products are needed:
 
       Y2_new = Y2 - (G1 - (G1 U11 + G2 U21) T11^{-1} U11^T) R12,
 
@@ -38,7 +37,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._kernels import gemm
+from ._kernels import check_operand, gemm, larfb
 from .core import (
     FlopCounter,
     _as_index,
@@ -48,7 +47,7 @@ from .core import (
     matmul,
     permutation_to_trail,
 )
-from .householder import QRFactors, _factors, _form_t, _lapack_qr, apply_block_qt
+from .householder import QRFactors, _factors, _form_t, _lapack_qr, _lapack_t, apply_block_qt
 from .pivoting import mgsp
 from .rng import Xoshiro256pp, gaussian_matrix
 
@@ -108,10 +107,11 @@ def downdate_sketch(
     `u_panel` is the packed panel column block (U11 over U21), `t11` its
     T accumulator and `r12` the freshly committed R rows right of the
     panel.  Replaces G by G Q restricted to the panel's reflectors, in
-    place by one LAPACK dlarfb with T^{-1} (``apply_block_qt`` on G^T),
+    place by one LAPACK dlarfb with T^{-1} (``_kernels.larfb``, side R),
     and downdates the trailing part of Y by one in-place dgemm,
-    Y2 -= G1 R12 (``_kernels.gemm``).  Y must be column-major, as
-    ``build_sketch`` makes it.  Y's columns must already follow
+    Y2 -= G1 R12 (``_kernels.gemm``).  G, Y and R12 are checked by
+    ``_kernels.check_operand`` before G is written, so a bad one raises
+    ValueError with the sketch unchanged.  Y's columns must already follow
     A's column order: `hqrrp_blk` moves them with A's through
     ``core.apply_pivot_trail``.
     """
@@ -119,12 +119,16 @@ def downdate_sketch(
     if bw == 0:
         return
     j = sk.col_offset
-    if u_panel.shape[0] != sk.g.shape[1] - j:
+    g, y = sk.g[:, j:], sk.y[:, j + bw :]
+    if u_panel.shape[0] != g.shape[1]:
         raise ValueError("panel height does not match the remaining G columns")
     if r12.shape != (bw, sk.y.shape[1] - j - bw):
         raise ValueError("R12 shape does not match the sketch partition")
-    apply_block_qt(u_panel, t11, sk.g[:, j:].T, fc)  # (Q^T G^T)^T = G Q
-    gemm(sk.g[:, j : j + bw], r12, sk.y[:, j + bw :], fc)
+    check_operand(g, "G", written=True)
+    check_operand(y, "Y", written=True)
+    check_operand(r12, "R12", written=False)
+    larfb("R", "N", u_panel[:, :bw], _lapack_t(t11), g, fc)
+    gemm(g[:, :bw], r12, y, fc)
     sk.col_offset = j + bw
 
 

@@ -150,6 +150,11 @@ RETIRED_CALLS = [
         )
         for key in ("algo_label", "seed")
     ],
+    ("hqr_unb-fc", lambda a: hqr_unb(a, FlopCounter())),
+    ("hqr_unb-fc=", lambda a: hqr_unb(a, fc=FlopCounter())),
+    ("hqrp_unb-steps-fc", lambda a: hqrp_unb(a, 3, FlopCounter())),
+    ("hqrp_unb-steps-fc-step_hook", lambda a: hqrp_unb(a, 3, None, lambda *x: None)),
+    ("hqrp_unb-fc=", lambda a: hqrp_unb(a, fc=FlopCounter())),
     (
         "QualityReport-algo_label-seed",
         lambda a: QualityReport(np.zeros(1), np.zeros(1), None, np.zeros(6), None, None, "hqr", 3),

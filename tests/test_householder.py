@@ -307,16 +307,18 @@ def test_apply_block_qt_matches_the_dense_formula():
     assert fc.count == 4 * 40 * 6 * 13 + 6 * 6 * 13
 
 
-def test_apply_block_qt_on_a_transposed_target():
-    # downdate_sketch hands over G^T, whose transpose G is the column-major one
+def test_apply_block_qt_rejects_a_transposed_target():
+    # G^T of a column-major G is row-major: B := Q^T B runs as side L only,
+    # and downdate_sketch takes G Q by side R on G itself
     panel = gauss(33, 40, 8)
     t, _ = hqr_unb_formT(panel)
     g = gauss(34, 13, 40)
-    want = g @ _dense_q(panel, t)
+    before = g.copy()
     fc = FlopCounter()
-    apply_block_qt(panel, t, g.T, fc)
-    assert frobenius_norm(g - want) <= 1e-13 * frobenius_norm(want)
-    assert fc.count == 4 * 40 * 8 * 13 + 8 * 8 * 13
+    with pytest.raises(ValueError, match="column-major"):
+        apply_block_qt(panel, t, g.T, fc)
+    assert np.array_equal(g, before)
+    assert fc.count == 0
 
 
 def test_apply_block_qt_zero_target_columns():

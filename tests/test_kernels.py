@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg.cython_blas
 import scipy.linalg.cython_lapack
 
-from rrqr import FlopCounter, hqr_unb_formT
+from rrqr import FlopCounter, hqr_blk, hqr_unb_formT
 from rrqr import _kernels
 from rrqr._kernels import column_major, gemm, larfb
 
@@ -140,6 +140,49 @@ def test_bad_views_raise_and_write_nothing(case):
         with pytest.raises(ValueError):
             run(*args)
         assert np.array_equal(target, before)
+
+
+def _bad_layout(kind):
+    """A 6 x 4 matrix in a form that BLAS cannot change in place."""
+    x = gauss(11, 6, 4)
+    if kind == "read-only":
+        x.flags.writeable = False
+        return x
+    return {
+        "float32": x.astype(np.float32),
+        "1-D": x[:, 0].copy(),
+        "row-major": np.ascontiguousarray(x),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["float32", "1-D", "read-only", "row-major"])
+def test_prologue_and_kernels_apply_one_rule(kind):
+    # a driver's input, a panel and a kernel's operands fail the same way,
+    # with the same words after the argument's name, and nothing is written
+    a, b = gauss(12, 6, 3), gauss(13, 3, 4)
+    v, t = gauss(14, 6, 3), _f(np.triu(gauss(15, 3, 3)) + 2 * np.eye(3))
+    runs = [
+        ("input", lambda x: hqr_blk(x, 2)),
+        ("panel", hqr_unb_formT),
+        ("C", lambda x: gemm(a, b, x)),
+        ("C", lambda x: larfb("L", "T", v, t, x)),
+    ]
+    if kind != "read-only":  # an operand that is only read may be read-only
+        runs += [
+            ("A", lambda x: gemm(x[:, :3] if x.ndim == 2 else x, b, gauss(16, 6, 4))),
+            ("V", lambda x: larfb("L", "T", x[:, :3] if x.ndim == 2 else x, t, gauss(16, 6, 4))),
+        ]
+    tails = set()
+    for name, run in runs:
+        x = _bad_layout(kind)
+        before = x.copy()
+        with pytest.raises(ValueError, match="2-D float64 array") as err:
+            run(x)
+        assert np.array_equal(x, before)
+        head, tail = str(err.value).split(" ", 1)
+        assert head == name
+        tails.add(tail)  # x[:, :3] has the strides of x
+    assert len(tails) == 1, tails
 
 
 def test_larfb_rejects_unknown_side_and_trans():

@@ -5,6 +5,8 @@ import pytest
 
 from rrqr import (
     EPS,
+    FlopCounter,
+    Sketch,
     Xoshiro256pp,
     apply_block_qt,
     build_sketch,
@@ -20,7 +22,7 @@ from rrqr import (
     select_block_pivots,
     truncation_errors,
 )
-from rrqr.householder import hqr_unb_formT
+from rrqr.householder import _unit_lower, hqr_unb_formT
 
 from conftest import gauss
 
@@ -127,6 +129,51 @@ def test_downdate_sketch_one_panel_matches_fresh_product():
     rhs = g_fresh[:, 8:] @ state[8:, 8:]
     assert frobenius_norm(sk.y[:, 8:] - rhs) <= 1e-11 * frobenius_norm(a0)
     assert sk.col_offset == 8
+
+
+def _downdate_case():
+    """A 13-row sketch of a 40 x 30 matrix at column 5, and a 4-wide panel."""
+    sk = Sketch(gauss(40, 13, 40), gauss(41, 13, 30), col_offset=5)
+    panel = gauss(42, 35, 4)
+    t, _ = hqr_unb_formT(panel)
+    return sk, panel, t, gauss(43, 4, 21)
+
+
+def test_downdate_sketch_takes_g_times_q_in_place():
+    sk, panel, t, r12 = _downdate_case()
+    (rows, m), n, j, bw = sk.g.shape, sk.y.shape[1], sk.col_offset, t.shape[0]
+    u = _unit_lower(panel, bw)
+    want_g = sk.g.copy()
+    want_g[:, j:] = sk.g[:, j:] @ (np.eye(m - j) - u @ np.linalg.solve(t, u.T))
+    want_y = sk.y.copy()
+    want_y[:, j + bw :] -= want_g[:, j : j + bw] @ r12
+    fc = FlopCounter()
+    downdate_sketch(sk, panel, t, r12, fc=fc)
+    assert frobenius_norm(sk.g - want_g) <= 1e-13 * frobenius_norm(want_g)
+    assert frobenius_norm(sk.y - want_y) <= 1e-13 * frobenius_norm(want_y)
+    assert sk.col_offset == j + bw
+    # one dlarfb on G from the right, then one dgemm into Y
+    assert fc.count == (
+        4 * (m - j) * bw * rows + bw * bw * rows + 2 * rows * bw * (n - j - bw)
+    )
+
+
+@pytest.mark.parametrize("bad", ["G", "Y", "R12"])
+def test_downdate_sketch_checks_every_view_before_it_writes(bad):
+    # G, Y and R12 are all checked before dlarfb writes G, so a row-major
+    # one leaves the sketch as it was rather than half advanced
+    sk, panel, t, r12 = _downdate_case()
+    if bad == "G":
+        sk.g = np.ascontiguousarray(sk.g)
+    elif bad == "Y":
+        sk.y = np.ascontiguousarray(sk.y)
+    else:
+        r12 = np.ascontiguousarray(r12)
+    g0, y0 = sk.g.copy(), sk.y.copy()
+    with pytest.raises(ValueError, match=f"^{bad} must be a column-major"):
+        downdate_sketch(sk, panel, t, r12)
+    assert np.array_equal(sk.g, g0) and np.array_equal(sk.y, y0)
+    assert sk.col_offset == 5
 
 
 def test_downdate_sketch_dimension_mismatch():
