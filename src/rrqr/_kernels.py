@@ -7,6 +7,10 @@ already loaded by ``import scipy.linalg``; the function pointers are read
 from them once, at import, through ``ctypes.pythonapi.PyCapsule_GetPointer``,
 so every call runs in scipy's own BLAS on the operands where they lie.
 
+A block reflector's T is the UT-transform T that every panel stores, with
+H = I - U T^{-1} U^T (see ``householder``); only ``larfb`` knows that
+LAPACK's dlarfb wants T^{-1}, which it takes from dtrtri on each call.
+
 ctypes passes raw pointers and leading dimensions, so a view that BLAS
 cannot address would corrupt memory instead of raising.  Each capsule's
 signature string is therefore checked at import (LP64 ``int *`` integer
@@ -30,6 +34,7 @@ import functools
 import numpy as np
 import scipy.linalg.cython_blas as _cython_blas
 import scipy.linalg.cython_lapack as _cython_lapack
+from scipy.linalg.lapack import dtrtri as _dtrtri
 
 # one letter per parameter of a capsule's C signature: c = char *,
 # i = int * (LP64), d = double *
@@ -145,27 +150,34 @@ def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, fc=None) -> None:
 
 
 def larfb(side: str, trans: str, v: np.ndarray, t: np.ndarray, c: np.ndarray, fc=None) -> None:
-    """C := op(H) C (side "L") or C op(H) (side "R") in place, H = I - V T V^T.
+    """C := op(H) C (side "L") or C op(H) (side "R") in place, H = I - V T^{-1} V^T.
 
-    LAPACK dlarfb with forward direction and columnwise storage: V holds
-    one reflector per column and is unit lower trapezoidal, of which only
-    the strictly lower part is read, so a packed panel serves as it
-    stands; T is its k x k upper-triangular factor.  op(H) is H for
-    `trans` "N" and H^T for "T".
+    V holds one reflector per column and is unit lower trapezoidal, of
+    which only the strictly lower part is read, so a packed panel serves
+    as it stands; T is its k x k UT-transform factor as the panels store
+    it.  op(H) is H for `trans` "N" and H^T for "T".  LAPACK dlarfb
+    (forward, columnwise) runs with dtrtri's T^{-1}, so a singular T
+    raises ValueError with C unchanged.
     """
     if side not in ("L", "R") or trans not in ("N", "T"):
         raise ValueError(f"side must be 'L' or 'R' and trans 'N' or 'T', got {side!r}, {trans!r}")
-    (pv, ldv), (pt, ldt), (pc, ldc) = _operand(v, "V"), _operand(t, "T"), _operand(c, "C", True)
+    pv, ldv = _operand(v, "V")
+    check_operand(t, "T", False)
+    pc, ldc = _operand(c, "C", True)
     length, k = v.shape
     along, n = c.shape if side == "L" else c.shape[::-1]
     if t.shape != (k, k) or along != length or length < k:
         raise ValueError(f"V {v.shape}, T {t.shape} and C {c.shape} do not match for side {side}")
-    if fc is not None:
-        fc.add(4 * length * k * n + k * k * n)
     if c.size == 0 or k == 0:
         return
+    t_inv, info = _dtrtri(t)
+    if info != 0:
+        raise ValueError(f"T is singular (dtrtri info={info})")
+    if fc is not None:
+        fc.add(4 * length * k * n + k * k * n)
     work = np.empty((n, k), order="F")
     _dlarfb(
         _CHAR[side], _CHAR[trans], _CHAR["F"], _CHAR["C"], _int(c.shape[0]), _int(c.shape[1]),
-        _int(k), pv, _int(ldv), pt, _int(ldt), pc, _int(ldc), work.ctypes.data, _int(n),
+        _int(k), pv, _int(ldv), t_inv.ctypes.data, _int(k), pc, _int(ldc), work.ctypes.data,
+        _int(n),
     )  # fmt: skip

@@ -10,15 +10,16 @@ A factorization overwrites its input: R lives on and above the diagonal,
 reflector tails below it.  Unpivoted panels are factored by LAPACK dgeqrf,
 whose reflectors are mapped onto this convention.  Each finished column
 panel gets an upper-triangular block T, the strictly upper part of U^T U
-plus diag(tau) (the UT transform of Joffrain et al., 2006), which turns
-the reflector product into the block form
+plus diag(tau) (the UT transform of Joffrain et al., 2006), stored
+column-major, which turns the reflector product into the block form
 
     H(u_{b-1}) ... H(u_1) H(u_0) = I - U T^{-T} U^T
 
 and hence Q = I - U T^{-1} U^T.  Blocked trailing updates and Q formation
 all run through that identity, in place, as one LAPACK dlarfb call each
-(``_kernels.larfb``) with LAPACK's block factor T^{-1}.  dlarfb reads
-only the strictly lower part of U, so the packed panel serves as it stands.
+(``_kernels.larfb``), which takes T as stored; only ``larfb`` knows that
+LAPACK wants T^{-1}.  dlarfb reads only the strictly lower part of U, so
+the packed panel serves as it stands.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack, qr
+from scipy.linalg import qr
 
 from ._kernels import check_operand, larfb
 from .core import FlopCounter, _as_index, _check_block, _scale_into_range, trail_to_permutation
@@ -75,8 +76,9 @@ def housev(x) -> Reflector:
 class QRFactors:
     """Packed factorization: R above the diagonal, reflector tails below.
 
-    `t_blocks` holds one T block per column panel, in column order; the
-    panel starts, the taus and the reflector count r are read off them.
+    `t_blocks` holds one column-major T block per column panel, in column
+    order; the panel starts, the taus and the reflector count r are read
+    off them.
     `trail` is the pivot swap trail (empty for unpivoted factorizations).
     """
 
@@ -121,10 +123,10 @@ def _unit_lower(panel: np.ndarray, width: int) -> np.ndarray:
 
 
 def _form_t(panel: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """T block of a factored panel: strictly upper part of U^T U plus diag(taus)."""
+    """Column-major T of a factored panel: strictly upper part of U^T U plus diag(taus)."""
     width = len(taus)
     u = _unit_lower(panel, width)
-    t = np.triu(u.T @ u, 1)
+    t = np.asfortranarray(np.triu(u.T @ u, 1))
     t[np.diag_indices(width)] = taus
     return t
 
@@ -196,32 +198,17 @@ def hqr_unb(a: np.ndarray) -> QRFactors:
     return _factors(a, e, [_form_t(a, taus)])
 
 
-def _lapack_t(t: np.ndarray) -> np.ndarray:
-    """LAPACK's block factor of a T block, T^{-1}: H = I - U T^{-1} U^T."""
-    t_inv, info = lapack.dtrtri(t)
-    if info != 0:
-        raise ValueError(f"T block is singular (dtrtri info={info})")
-    return t_inv
-
-
 def apply_block_qt(
     panel: np.ndarray, t: np.ndarray, b_mat: np.ndarray, fc: FlopCounter | None = None
 ) -> None:
     """Apply the accumulated block reflector: B := (I - U T^{-1} U^T)^T B.
 
-    `panel` is the packed panel holding U below its diagonal; `b_mat` must
-    have as many rows as the panel and is updated in place by one LAPACK
-    dlarfb call with T^{-1}, so a `b_mat` that BLAS cannot change in place
-    raises ValueError unchanged (``_kernels.check_operand``).
+    `panel` is the packed panel holding U below its diagonal and `t` its
+    T as stored; `b_mat` is updated in place by one ``_kernels.larfb``
+    call, which raises ValueError with `b_mat` unchanged on a bad view
+    (``_kernels.check_operand``) or a shape that does not match.
     """
-    width = t.shape[0]
-    if panel.shape[0] != b_mat.shape[0]:
-        raise ValueError("panel and target row counts differ")
-    if width > panel.shape[1]:
-        raise ValueError("T order exceeds panel width")
-    if width == 0 or b_mat.shape[1] == 0:
-        return
-    larfb("L", "T", panel[:, :width], _lapack_t(t), b_mat, fc)
+    larfb("L", "T", panel[:, : t.shape[0]], t, b_mat, fc)
 
 
 def hqr_blk(a: np.ndarray, b: int, fc: FlopCounter | None = None) -> QRFactors:
@@ -246,14 +233,12 @@ def form_q(f: QRFactors, k: int, fc: FlopCounter | None = None) -> np.ndarray:
     """First `k` columns of Q = H(u_0) H(u_1) ... H(u_{r-1}).
 
     Each panel's block reflector multiplies the rows it touches in place,
-    last panel first, by one LAPACK dlarfb call with T^{-1}.
+    last panel first, by one ``_kernels.larfb`` call with the panel's T.
     """
     k = _as_index(k, "column count")
     if k > f.m:
         raise ValueError(f"cannot form {k} columns of a {f.m}-row Q")
     q = np.eye(f.m, k, order="F")
     for j, t in zip(reversed(f.panel_starts), reversed(f.t_blocks)):
-        bw = t.shape[0]
-        if bw:
-            larfb("L", "N", f.packed[j:, j : j + bw], _lapack_t(t), q[j:, :], fc)
+        larfb("L", "N", f.packed[j:, j : j + t.shape[0]], t, q[j:, :], fc)
     return q

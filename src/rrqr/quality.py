@@ -149,29 +149,33 @@ def truncation_errors(
 
 
 def factorization_errors(a_orig: np.ndarray, f: QRFactors) -> tuple[float, float]:
-    """(relative reconstruction error, orthogonality error), one Q formation.
-
-    Reconstruction is ||Q R - A P||_F / ||A||_F; orthogonality is
-    ||Q^T Q - I||_F for the thin Q.  Both norms of the ratio are taken
-    after dividing by the power of two at A's largest |entry|, which is
-    exact and keeps ||A||_F finite up to the top of the double range.
-    """
+    """(``reconstruction_error``, ``orthogonality_error``) from one Q formation."""
     q = form_q(f, f.r)
-    resid = q @ f.r_matrix() - a_orig[:, f.permutation()]
-    e = int(np.frexp(np.max(np.abs(a_orig), initial=0.0))[1])
-    denom = frobenius_norm(np.ldexp(a_orig, -e))
-    np.ldexp(resid, -e, out=resid)
-    recon = frobenius_norm(resid) / denom if denom > 0 else frobenius_norm(resid)
-    orth = frobenius_norm(q.T @ q - np.eye(f.r))
-    return recon, orth
+    return _reconstruction_error(a_orig, f, q), _orthogonality_error(q)
 
 
 def reconstruction_error(a_orig: np.ndarray, f: QRFactors) -> float:
-    """Relative error ||Q R - A P||_F / ||A||_F of a packed factorization."""
-    return factorization_errors(a_orig, f)[0]
+    """Relative error ||Q R - A P||_F / ||A||_F of a packed factorization.
+
+    Both norms are taken after dividing by the power of two at A's largest
+    |entry|, which is exact and keeps ||A||_F finite up to the top of the
+    double range.
+    """
+    return _reconstruction_error(a_orig, f, form_q(f, f.r))
 
 
 def orthogonality_error(f: QRFactors) -> float:
     """||Q^T Q - I||_F for the thin Q of a packed factorization."""
-    q = form_q(f, f.r)
-    return frobenius_norm(q.T @ q - np.eye(f.r))
+    return _orthogonality_error(form_q(f, f.r))
+
+
+def _reconstruction_error(a_orig: np.ndarray, f: QRFactors, q: np.ndarray) -> float:
+    resid = q @ f.r_matrix() - a_orig[:, f.permutation()]
+    e = int(np.frexp(np.max(np.abs(a_orig), initial=0.0))[1])
+    denom = frobenius_norm(np.ldexp(a_orig, -e))
+    np.ldexp(resid, -e, out=resid)
+    return frobenius_norm(resid) / denom if denom > 0 else frobenius_norm(resid)
+
+
+def _orthogonality_error(q: np.ndarray) -> float:
+    return frobenius_norm(q.T @ q - np.eye(q.shape[1]))

@@ -47,7 +47,7 @@ from .core import (
     matmul,
     permutation_to_trail,
 )
-from .householder import QRFactors, _factors, _form_t, _lapack_qr, _lapack_t, apply_block_qt
+from .householder import QRFactors, _factors, _form_t, _lapack_qr, apply_block_qt
 from .pivoting import mgsp
 from .rng import Xoshiro256pp, gaussian_matrix
 
@@ -105,29 +105,26 @@ def downdate_sketch(
     """Advance the sketch past a finished panel.
 
     `u_panel` is the packed panel column block (U11 over U21), `t11` its
-    T accumulator and `r12` the freshly committed R rows right of the
+    T as stored and `r12` the freshly committed R rows right of the
     panel.  Replaces G by G Q restricted to the panel's reflectors, in
-    place by one LAPACK dlarfb with T^{-1} (``_kernels.larfb``, side R),
-    and downdates the trailing part of Y by one in-place dgemm,
-    Y2 -= G1 R12 (``_kernels.gemm``).  G, Y and R12 are checked by
-    ``_kernels.check_operand`` before G is written, so a bad one raises
-    ValueError with the sketch unchanged.  Y's columns must already follow
-    A's column order: `hqrrp_blk` moves them with A's through
+    place by one LAPACK dlarfb (``_kernels.larfb``, side R), and
+    downdates the trailing part of Y by one in-place dgemm,
+    Y2 -= G1 R12 (``_kernels.gemm``).  G, Y and R12 (by
+    ``_kernels.check_operand``), R12's shape, and T and the panel height
+    (by ``larfb``) are checked before G is written, so a bad one raises
+    ValueError with the sketch unchanged.  Y's columns must already
+    follow A's column order: `hqrrp_blk` moves them with A's through
     ``core.apply_pivot_trail``.
     """
     bw = t11.shape[0]
-    if bw == 0:
-        return
     j = sk.col_offset
     g, y = sk.g[:, j:], sk.y[:, j + bw :]
-    if u_panel.shape[0] != g.shape[1]:
-        raise ValueError("panel height does not match the remaining G columns")
     if r12.shape != (bw, sk.y.shape[1] - j - bw):
         raise ValueError("R12 shape does not match the sketch partition")
     check_operand(g, "G", written=True)
     check_operand(y, "Y", written=True)
     check_operand(r12, "R12", written=False)
-    larfb("R", "N", u_panel[:, :bw], _lapack_t(t11), g, fc)
+    larfb("R", "N", u_panel[:, :bw], t11, g, fc)
     gemm(g[:, :bw], r12, y, fc)
     sk.col_offset = j + bw
 

@@ -30,6 +30,7 @@ from rrqr import (
     trail_to_permutation,
     truncation_errors,
 )
+from rrqr._kernels import check_operand
 
 DRIVERS = [
     ("hqr", lambda x: hqr_unb(x)),
@@ -80,6 +81,17 @@ def test_taus_and_panel_starts_are_read_off_the_t_blocks(name, run, shape):
     assert np.array_equal(f.taus, np.concatenate(diagonals) if diagonals else np.empty(0))
     with pytest.raises(AttributeError):
         f.taus = f.taus
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (5, 7), (0, 4), (4, 0)])
+@pytest.mark.parametrize("name,run", GEN_DRIVERS)
+def test_every_t_block_is_a_kernel_operand(name, run, shape):
+    # larfb takes each T as stored, by the rule every kernel operand meets
+    a = np.zeros(shape, order="F")
+    if min(shape):
+        a = gaussian_matrix(Xoshiro256pp(4), *shape)
+    for t in run(a, Xoshiro256pp(1)).t_blocks:
+        check_operand(t, "T", written=False)
 
 
 # old call forms, each passing an argument that no longer exists; every one

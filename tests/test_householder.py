@@ -330,6 +330,18 @@ def test_apply_block_qt_zero_target_columns():
     assert fc.count == 0
 
 
+def test_apply_block_qt_rejects_a_c_ordered_t():
+    panel = gauss(38, 12, 3)
+    t, _ = hqr_unb_formT(panel)
+    b = gauss(39, 12, 5)
+    before = b.copy()
+    fc = FlopCounter()
+    with pytest.raises(ValueError, match="^T must be a column-major"):
+        apply_block_qt(panel, np.ascontiguousarray(t), b, fc)
+    assert np.array_equal(b, before)
+    assert fc.count == 0
+
+
 def test_apply_block_qt_rejects_a_target_blas_cannot_address():
     panel = gauss(36, 12, 3)
     t, _ = hqr_unb_formT(panel)

@@ -9,7 +9,17 @@ import pytest
 import scipy.linalg.cython_blas
 import scipy.linalg.cython_lapack
 
-from rrqr import FlopCounter, hqr_blk, hqr_unb_formT
+from rrqr import (
+    FlopCounter,
+    Xoshiro256pp,
+    apply_block_qt,
+    build_sketch,
+    downdate_sketch,
+    form_q,
+    hqr_blk,
+    hqr_unb,
+    hqr_unb_formT,
+)
 from rrqr import _kernels
 from rrqr._kernels import column_major, gemm, larfb
 
@@ -90,10 +100,10 @@ def test_gemm_zero_sizes(m, k, n):
 
 
 def _block_reflector(v, t):
-    """Dense I - V T V^T of a unit lower trapezoidal V."""
+    """Dense I - V T^{-1} V^T of a unit lower trapezoidal V and its UT-transform T."""
     u = np.tril(v, -1)
     u[np.diag_indices(v.shape[1])] = 1.0
-    return np.eye(v.shape[0]) - u @ t @ u.T
+    return np.eye(v.shape[0]) - u @ np.linalg.inv(t) @ u.T
 
 
 @pytest.mark.parametrize("side", ["L", "R"])
@@ -222,7 +232,60 @@ def test_unit_block_reflector_through_a_packed_panel():
     scribbled = panel.copy(order="F")
     scribbled[np.triu_indices(3)] = 123.0
     c1, c2 = gauss(10, 7, 4), gauss(10, 7, 4)
-    t_lapack = _f(np.linalg.inv(t))
-    larfb("L", "T", panel, t_lapack, c1)
-    larfb("L", "T", scribbled, t_lapack, c2)
+    larfb("L", "T", panel, t, c1)
+    larfb("L", "T", scribbled, t, c2)
     assert np.array_equal(c1, c2)
+
+
+@pytest.mark.parametrize("side", ["L", "R"])
+def test_larfb_rejects_a_singular_t(side):
+    v = gauss(17, 8, 3)
+    t = _f(np.triu(gauss(18, 3, 3)) + 2 * np.eye(3))
+    t[1, 1] = 0.0
+    c = gauss(19, 8, 5) if side == "L" else gauss(19, 5, 8)
+    before = c.copy()
+    fc = FlopCounter()
+    with pytest.raises(ValueError, match="^T is singular"):
+        larfb(side, "N", v, t, c, fc)
+    assert np.array_equal(c, before)
+    assert fc.count == 0
+
+
+def _no_dtrtri(*_, **__):
+    raise AssertionError("dtrtri was called")
+
+
+@pytest.mark.parametrize(
+    "side,v_shape,c_shape",
+    [("L", (6, 0), (6, 4)), ("R", (6, 0), (4, 6)), ("L", (6, 2), (6, 0)), ("R", (6, 2), (0, 6)),
+     ("L", (0, 0), (0, 3))],
+    ids=["no-reflector-L", "no-reflector-R", "no-column-L", "no-row-R", "no-row-no-reflector"],
+)  # fmt: skip
+def test_larfb_inverts_no_t_for_empty_work(monkeypatch, side, v_shape, c_shape):
+    # dtrtri rejects a 0 x 0 T, and an empty C needs no T^{-1}
+    monkeypatch.setattr(_kernels, "_dtrtri", _no_dtrtri)
+    v, t = np.ones(v_shape, order="F"), np.eye(v_shape[1], order="F")
+    c = np.ones(c_shape, order="F")
+    before = c.copy()
+    fc = FlopCounter()
+    larfb(side, "T", v, t, c, fc)
+    assert np.array_equal(c, before)
+    assert fc.count == 0
+
+
+def test_empty_panels_reach_larfb_without_a_guard(monkeypatch):
+    # apply_block_qt, form_q and downdate_sketch hand a 0-wide panel on to
+    # larfb, which returns before it inverts T
+    monkeypatch.setattr(_kernels, "_dtrtri", _no_dtrtri)
+    b = gauss(20, 5, 3)
+    apply_block_qt(np.empty((5, 0), order="F"), np.empty((0, 0), order="F"), b)
+    assert np.array_equal(b, gauss(20, 5, 3))
+    for shape in ((0, 5), (5, 0)):
+        f = hqr_unb(np.zeros(shape, order="F"))
+        assert [t.shape for t in f.t_blocks] == [(0, 0)]
+        assert np.array_equal(form_q(f, shape[0]), np.eye(shape[0]))
+    a = gauss(21, 12, 12)
+    sk = build_sketch(Xoshiro256pp(5), a, 4, 2)
+    g, y = sk.g.copy(), sk.y.copy()
+    downdate_sketch(sk, a[:, :0], np.empty((0, 0), order="F"), a[:0, :])
+    assert np.array_equal(sk.g, g) and np.array_equal(sk.y, y) and sk.col_offset == 0

@@ -24,6 +24,8 @@ from rrqr import (
     hqrp_unb,
     hqrrp_blk,
     jacobi_svd_values,
+    orthogonality_error,
+    reconstruction_error,
     spectral_norm_est,
     trail_to_permutation,
     truncation_errors,
@@ -228,6 +230,32 @@ def test_relative_error_near_overflow_is_positive():
     for name, factor in runs.items():
         recon, _ = factorization_errors(a, factor(a.copy(order="F")))
         assert 0.0 < recon <= 50 * 40 * EPS, name
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [
+        lambda x: hqr_blk(x, 8),
+        lambda x: hqrp_blk(x, 8),
+        lambda x: hqrrp_blk(x, 8, Xoshiro256pp(4), p=5),
+    ],
+    ids=["hqr_blk", "hqrp_blk", "hqrrp"],
+)
+def test_each_error_computes_only_what_it_returns(monkeypatch, factor):
+    a = gauss(13, 40, 30)
+    f = factor(a.copy(order="F"))
+    recon, orth = factorization_errors(a, f)
+    assert recon.hex() == reconstruction_error(a, f).hex()
+    assert orth.hex() == orthogonality_error(f).hex()
+
+    def unread(*_):
+        raise AssertionError("formed a result that is not returned")
+
+    monkeypatch.setattr(rrqr.quality, "_orthogonality_error", unread)
+    assert reconstruction_error(a, f) == recon
+    monkeypatch.undo()
+    monkeypatch.setattr(rrqr.quality, "_reconstruction_error", unread)
+    assert orthogonality_error(f) == orth
 
 
 def test_floors_near_overflow_are_finite():

@@ -179,10 +179,10 @@ def test_downdate_sketch_checks_every_view_before_it_writes(bad):
 def test_downdate_sketch_dimension_mismatch():
     a = gauss(9, 12, 12)
     sk = build_sketch(Xoshiro256pp(5), a, 4, 2)
-    t = np.eye(4)
-    with pytest.raises(ValueError):
+    t = np.eye(4, order="F")
+    with pytest.raises(ValueError, match="do not match"):
         downdate_sketch(sk, a[2:, :4], t, a[:4, 4:])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="R12 shape"):
         downdate_sketch(sk, a[:, :4], t, a[:4, 5:])
 
 
